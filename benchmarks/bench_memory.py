@@ -17,7 +17,9 @@ where ``/proc`` is unavailable.  Assertions:
 * streamed peak RSS stays (near) flat as the packet count scales;
 * materialized peak RSS grows with the packet count;
 * at the large size, streamed stays below materialized and below a
-  generous fixed ceiling over the interpreter baseline.
+  generous fixed ceiling over the interpreter baseline;
+* the span drain (the default path) costs no memory: a streamed run
+  peaks within 5% of its ``vectorized=False`` scalar-oracle twin.
 
 The same harness covers pcap replay:
 :class:`repro.workloads.replay.PcapReplaySource` re-streams the capture
@@ -92,7 +94,7 @@ elif mode != "baseline":
     duration = max(1, int(round(n_packets / rate * units.SEC)))
     trace = preset_trace("caida-1", num_packets=20_000)
     params = [HoltWintersParams(a=rate)]
-    if mode == "streamed":
+    if mode.startswith("streamed"):
         workload = StreamingSource([trace], params, duration, seed=3)
     else:
         workload = build_workload([trace], params, duration_ns=duration,
@@ -102,7 +104,8 @@ elif mode != "baseline":
         services=ServiceSet([Service(0, "ip-forward", units.us(1))]),
         collect_latencies=False,
     )
-    report = simulate(workload, StaticHashScheduler(), config)
+    report = simulate(workload, StaticHashScheduler(), config,
+                      vectorized=mode != "streamed-scalar")
     assert report.generated >= n_packets // 2, report.generated
 print(peak_rss_kib())
 """
@@ -149,6 +152,16 @@ def test_streamed_rss_stays_flat_while_materialized_grows():
     # at the large size the streamed run is the cheaper one
     assert streamed[large] < materialized[large]
 
+
+def test_span_drain_rss_matches_scalar_oracle():
+    """The span drain bounds its working set (the adaptive span cap):
+    a streamed hash-static run on the default path peaks at no more
+    than 1.05x the same run on the scalar oracle."""
+    n = _SIZES[1]
+    span = _peak_rss_mb("streamed", n)
+    scalar = _peak_rss_mb("streamed-scalar", n)
+    print(f"\n[rss MiB] streamed {n}: span={span:.1f}  scalar={scalar:.1f}")
+    assert span <= 1.05 * scalar
 
 def test_replay_rss_stays_flat_as_repeat_scales():
     """Pcap replay is O(chunk + flows): repeating the capture 8x must

@@ -190,7 +190,6 @@ def run_scenario(
     schedulers: tuple[str, ...] = SCHEDULER_NAMES,
     probe_period_ns: int | None = None,
     trace_names: tuple[str, ...] | None = None,
-    engine: str | None = None,
     shards: int | None = None,
     shard_workers: int = 0,
     shard_window_ns: int | None = None,
@@ -229,7 +228,7 @@ def run_scenario(
         injector = FaultInjector(schedule, drain_policy=scenario.drain_policy)
         if sharded:
             report = simulate(
-                workload, sched, config, injector=injector, engine=engine,
+                workload, sched, config, injector=injector,
                 shards=shards, shard_workers=shard_workers,
                 shard_window_ns=shard_window_ns,
             )
@@ -237,7 +236,7 @@ def run_scenario(
             continue
         probe = TelemetryProbe(probe_period_ns)
         report = simulate(workload, sched, config, probe=probe,
-                          injector=injector, engine=engine)
+                          injector=injector)
         resilience = compute_resilience(
             probe.records, schedule, scheduler=name,
             arrivals_end_ns=duration_ns,
@@ -248,11 +247,11 @@ def run_scenario(
 
 def _scenario_task(args: tuple) -> list[dict]:
     """One scenario's table rows (module-level for pickling)."""
-    sname, quick, seed, duration_ns, trace_packets, trace_names, engine = args
+    sname, quick, seed, duration_ns, trace_packets, trace_names = args
     results = run_scenario(
         FAULT_SCENARIOS[sname], quick=quick, seed=seed,
         duration_ns=duration_ns, trace_packets=trace_packets,
-        trace_names=trace_names, engine=engine,
+        trace_names=trace_names,
     )
     rows = []
     for sched_name, (rep, res) in results.items():
@@ -281,7 +280,6 @@ def run(
     trace_packets: int | None = None,
     jobs: int = 1,
     trace_names: tuple[str, ...] | None = None,
-    engine: str | None = None,
 ) -> ExperimentResult:
     """F1-F4 x {FCFS, AFS, LAPS}: the resilience comparison table.
 
@@ -303,8 +301,7 @@ def run(
         ],
         meta=meta,
     )
-    tasks = [(sname, quick, seed, duration_ns, trace_packets, trace_names,
-              engine)
+    tasks = [(sname, quick, seed, duration_ns, trace_packets, trace_names)
              for sname in names]
     for rows in parallel_map(_scenario_task, tasks, jobs=jobs):
         for row in rows:

@@ -53,9 +53,6 @@ class RunManifest:
     package_version: str
     seed: int | None = None
     scheduler: str | None = None
-    #: the event engine that actually ran ("heap", "calendar",
-    #: "calendar-numba"); None for manifests predating the field
-    engine: str | None = None
     #: shard topology + protocol trace of a sharded run (the
     #: ``manifest_dict()`` of a :class:`~repro.sim.sharding.ShardedRun`);
     #: None for single-process runs and manifests predating the field
@@ -70,7 +67,6 @@ class RunManifest:
         config=None,
         seed: int | None = None,
         scheduler: str | None = None,
-        engine: str | None = None,
         sharding: dict | None = None,
         **extra,
     ) -> "RunManifest":
@@ -93,7 +89,6 @@ class RunManifest:
             package_version=__version__,
             seed=seed,
             scheduler=scheduler,
-            engine=engine,
             sharding=sharding,
             config=config or {},
             extra=extra,
@@ -109,7 +104,6 @@ class RunManifest:
             "package_version": self.package_version,
             "seed": self.seed,
             "scheduler": self.scheduler,
-            "engine": self.engine,
             "sharding": dict(self.sharding) if self.sharding else None,
             "config": dict(self.config),
             "extra": dict(self.extra),
@@ -119,7 +113,7 @@ class RunManifest:
     def from_dict(cls, d: dict[str, Any]) -> "RunManifest":
         known = {f: d.get(f) for f in (
             "created_utc", "host", "platform", "python_version",
-            "package_version", "seed", "scheduler", "engine", "sharding",
+            "package_version", "seed", "scheduler", "sharding",
         )}
         return cls(**known, config=d.get("config") or {}, extra=d.get("extra") or {})
 

@@ -8,7 +8,7 @@ core models applying the processing-delay model of eq. 3-5, and an
 egress reorder detector.
 """
 
-from repro.sim.engine import EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.hooks import HookBus, HOOK_EVENTS
 from repro.sim.kernel import Checkpoint, SimKernel, SimState
 from repro.sim.queues import BoundedQueue, QueueBank

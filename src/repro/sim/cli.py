@@ -34,7 +34,6 @@ from repro.net.service import Service, ServiceSet, default_services
 from repro.schedulers.afs import AFSScheduler
 from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
 from repro.sim.config import SimConfig
-from repro.sim.engine import available_engines, resolve_engine
 from repro.sim.generator import HoltWintersParams
 from repro.sim.source import DEFAULT_CHUNK_SIZE, StreamingSource
 from repro.sim.system import simulate
@@ -192,10 +191,6 @@ def _run_comparison(args, workload, config, num_services, duration,
         print(f"[faults] {len(schedule)} events from {args.faults} "
               f"(drain policy: {args.drain_policy})\n")
 
-    engine_spec = resolve_engine(args.engine)
-    if engine_spec.fallback_reason:
-        print(f"[engine] {engine_spec.requested!r} unavailable "
-              f"({engine_spec.fallback_reason}); running {engine_spec.name!r}\n")
     if sharded:
         from repro.sim.sharding import run_sharded
         window_ns = (
@@ -225,7 +220,7 @@ def _run_comparison(args, workload, config, num_services, duration,
                 workload, sched, config,
                 shards=args.shards, workers=args.shard_workers,
                 window_ns=window_ns, schedule=platform_schedule,
-                drain_policy=args.drain_policy, engine=args.engine,
+                drain_policy=args.drain_policy,
             )
             rep = run.report
             sharding_block = run.manifest_dict()
@@ -236,13 +231,12 @@ def _run_comparison(args, workload, config, num_services, duration,
                     schedule, drain_policy=args.drain_policy
                 )
             rep = simulate(workload, sched, config, probe=probe,
-                           injector=injector, engine=args.engine)
+                           injector=injector)
         if telemetry_dir is not None:
             manifest = RunManifest.capture(
                 config=config,
                 seed=args.seed,
                 scheduler=name,
-                engine=engine_spec.name,
                 sharding=sharding_block,
                 trace=trace_label,
                 utilisation=args.utilisation,
@@ -350,13 +344,6 @@ def main(argv: list[str] | None = None) -> int:
     cmp_p.add_argument(
         "--drain-policy", choices=("drop", "reassign"), default="drop",
         help="fate of a failing core's queued descriptors (default: drop)",
-    )
-    cmp_p.add_argument(
-        "--engine", choices=available_engines(), default=None,
-        help="event core: heap (scalar oracle, default), calendar "
-             "(batched numpy span drain) or calendar-numba (compiled; "
-             "falls back to calendar when numba is absent). Reports are "
-             "bit-identical across engines; see docs/performance.md",
     )
     cmp_p.add_argument(
         "--shards", type=int, default=None, metavar="N",

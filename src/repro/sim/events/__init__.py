@@ -1,26 +1,20 @@
-"""The event-core layer: queue implementations + batched span drain.
-
-This package owns everything below the kernel's arrival loop:
+"""The event core: one heap queue, two paths over it.
 
 * :mod:`repro.sim.events.base` — the binary-heap :class:`EventQueue`
-  (the historical engine, still the default and the bit-identity
-  oracle) and the engine-independent :class:`EventSnapshot` that
-  checkpoint blob v4 stores instead of a live queue;
-* :mod:`repro.sim.events.calendar` — :class:`CalendarEventQueue`, a
-  bucketed calendar queue with the same public contract and exact
-  ``(time_ns, seq)`` total order;
-* :mod:`repro.sim.events.backend` — the :class:`EngineBackend`
-  protocol plus the pure-numpy and optional numba implementations of
-  the per-core span kernel;
+  and the :class:`EventSnapshot` that checkpoint blob v4 stores instead
+  of a live queue;
+* :mod:`repro.sim.events.backend` — :func:`simulate_core`, the span
+  drain's per-core phase-1 recurrence;
 * :mod:`repro.sim.events.span` — the batched arrival/departure drain
   that consumes a planned scheduler column without per-packet event
   pushes, falling back to scalar dispatch whenever a hook, fault
   event, guard trip or ordering ambiguity makes batching inexact.
 
-Engine *selection* lives one level up in :mod:`repro.sim.engine`.
+The kernel runs the span drain on the vectorized path (the default) and
+the per-packet heap closures alone on the scalar oracle
+(``vectorized=False``); both paths produce bit-identical reports.
 """
 
 from repro.sim.events.base import EventQueue, EventSnapshot
-from repro.sim.events.calendar import CalendarEventQueue
 
-__all__ = ["EventQueue", "EventSnapshot", "CalendarEventQueue"]
+__all__ = ["EventQueue", "EventSnapshot"]

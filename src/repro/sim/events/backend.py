@@ -1,23 +1,12 @@
-"""Span-drain compute backends: the ``EngineBackend`` protocol.
+"""The span drain's phase-1 kernel: one core's FIFO recurrence.
 
 The batched drain in :mod:`repro.sim.events.span` splits each span into
 a **pure compute** phase (per-core FIFO recurrences — where the packet
 rate is spent) and a **commit** phase (vectorized numpy bookkeeping).
-This module owns the compute phase behind a tiny protocol so the same
-span orchestration can run it interpreted or compiled:
-
-* :class:`NumpyBackend` — the default: runs :func:`simulate_core` as
-  plain Python over unboxed list columns.  Always available.
-* :class:`NumbaBackend` — ``numba.njit``-compiles the *same* function
-  over int64 arrays.  Constructed lazily and only when numba imports;
-  :func:`numba_available` reports why not otherwise.  Install with
-  ``pip install repro[accel]``.
-
-:func:`simulate_core` is deliberately written in the array-index subset
-both execution modes accept (no dicts, no appends, no numpy API calls,
-preallocated outputs, a ring buffer for the FIFO): one source of truth
-means the backends cannot drift apart — ``tests/sim/test_engine_parity.py``
-additionally pins list-mode against array-mode on random inputs.
+This module owns the compute phase: :func:`simulate_core`, run as plain
+Python over unboxed list columns.  :class:`NumpyBackend` hands it to the
+span driver through one ``core_fn()`` call per kernel, the single seam
+a profiler wraps to time phase 1.
 
 State-Compute Replication (Xu et al., PAPERS.md) is the shape: the
 packet-rate recurrence runs here over replicated scalar state copies,
@@ -27,15 +16,9 @@ phase.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
-__all__ = [
-    "EngineBackend",
-    "NumpyBackend",
-    "NumbaBackend",
-    "numba_available",
-    "simulate_core",
-]
+__all__ = ["NumpyBackend", "OUT_SLOTS", "simulate_core"]
 
 
 def simulate_core(
@@ -223,72 +206,8 @@ def simulate_core(
 OUT_SLOTS = 13
 
 
-class EngineBackend(Protocol):
-    """Compute backend for the span drain's per-core recurrence."""
-
-    #: registry/display name ("numpy", "numba")
-    name: str
-
-    #: True when the per-core function expects numpy arrays; False when
-    #: it expects unboxed Python lists (cheaper in the interpreter)
-    wants_arrays: bool
-
-    def core_fn(self) -> Callable[..., Any]:
-        """The compiled/interpreted :func:`simulate_core` to call."""
-        ...
-
-
 class NumpyBackend:
-    """Interpreted backend: :func:`simulate_core` over plain lists."""
-
-    name = "numpy"
-    wants_arrays = False
+    """Interpreted phase 1: :func:`simulate_core` over plain lists."""
 
     def core_fn(self) -> Callable[..., Any]:
         return simulate_core
-
-
-_NUMBA_REASON: str | None = None
-_NUMBA_FN: Callable[..., Any] | None = None
-
-
-def numba_available() -> tuple[bool, str | None]:
-    """(available, reason-if-not) for the optional numba backend."""
-    global _NUMBA_REASON
-    if _NUMBA_REASON is not None:
-        return _NUMBA_REASON == "", _NUMBA_REASON or None
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        _NUMBA_REASON = (
-            "numba is not installed (pip install repro[accel])"
-        )
-        return False, _NUMBA_REASON
-    _NUMBA_REASON = ""
-    return True, None
-
-
-class NumbaBackend:
-    """Compiled backend: ``numba.njit`` over the same kernel source.
-
-    Compilation is lazy (first span pays the JIT) and cached for the
-    process.  Constructing the backend when numba is missing raises —
-    :func:`repro.sim.engine.resolve_engine` checks availability first
-    and falls back to :class:`NumpyBackend` with a recorded reason.
-    """
-
-    name = "numba"
-    wants_arrays = True
-
-    def __init__(self) -> None:
-        ok, reason = numba_available()
-        if not ok:
-            raise ImportError(reason)
-
-    def core_fn(self) -> Callable[..., Any]:
-        global _NUMBA_FN
-        if _NUMBA_FN is None:
-            import numba
-
-            _NUMBA_FN = numba.njit(cache=False, nogil=True)(simulate_core)
-        return _NUMBA_FN

@@ -8,12 +8,10 @@ engine is deliberately tuple-based — no Event objects, no allocation
 beyond the tuple itself (per the HPC guidance: keep the inner loop free
 of attribute lookups).
 
-:class:`EventSnapshot` is the engine-independent serialized form every
-queue implementation can produce and restore from — checkpoint blob v4
-stores snapshots instead of live queues, so a run checkpointed under
-one engine resumes bit-identically under another (the snapshot carries
-the exact ``(time, seq)`` pairs, the tie-break counter and the pop
-bookkeeping, which is everything ordering-relevant).
+:class:`EventSnapshot` is the queue's serialized form — checkpoint
+blob v4 stores a snapshot instead of the live queue (the snapshot
+carries the exact ``(time, seq)`` pairs, the tie-break counter and the
+pop bookkeeping, which is everything ordering-relevant).
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ __all__ = ["EventQueue", "EventSnapshot"]
 
 @dataclass(frozen=True)
 class EventSnapshot:
-    """Engine-independent image of a paused event queue.
+    """Image of a paused event queue.
 
     ``entries`` is the pending set sorted by ``(time_ns, seq)`` — the
-    exact pop order any conforming implementation will replay — plus
+    exact pop order a restored queue will replay — plus
     the tie-break counter, the last pop time (causality floor) and the
     lifetime pop count.
     """
@@ -131,7 +129,7 @@ class EventQueue:
         self._last_pop_ns = -1
         self.popped = 0
 
-    # -- engine-independent checkpoint form ----------------------------
+    # -- checkpoint form -------------------------------------------------
     def entries(self) -> list[tuple[int, int, Any]]:
         """Pending events sorted by ``(time_ns, seq)`` (a copy)."""
         # seqs are unique, so sorted() never compares payloads

@@ -10,13 +10,13 @@ case by draining a whole **span** of planned arrivals at once:
    backlog, its share of the planned arrivals).  The
    :func:`~repro.sim.events.backend.simulate_core` kernel runs it per
    core over replicated copies of the shared state (flow→last-core,
-   migration flags) — interpreted for the numpy backend, ``njit``-ed
-   for numba.  Nothing global is touched, so a bail costs nothing.
+   migration flags).  Nothing global is touched, so a bail costs
+   nothing.
 2. **Phase 2 — vectorized commit.**  The per-core results are merged
    back into the exact scalar-kernel state: event seqs are assigned in
    the precise global start order the scalar loop would have produced
    (see below), departures/latencies/metrics/queues/flow state are
-   committed with numpy gathers, and the event queue's pending set is
+   committed with numpy gathers, and the event heap's pending set is
    replaced wholesale via ``reset_entries``.
 
 **Exactness, not approximation.**  The scalar closures remain the
@@ -66,7 +66,7 @@ import time
 
 import numpy as np
 
-from repro.sim.events.backend import OUT_SLOTS
+from repro.sim.events.backend import OUT_SLOTS, NumpyBackend
 
 __all__ = ["SpanDriver"]
 
@@ -87,24 +87,23 @@ _NO_GUARD = 1 << 60
 #: adaptive span-cap bounds (see ``SpanDriver._cap``)
 _CAP_INIT = 2048
 _CAP_MIN = 512
-_CAP_MAX = 1 << 20
+_CAP_MAX = 1 << 14
 
 
 class SpanDriver:
     """Per-kernel orchestrator for the batched span drain.
 
-    Bound to one :class:`~repro.sim.kernel.SimKernel` and one
-    :class:`~repro.sim.events.backend.EngineBackend`.  The kernel calls
-    :meth:`attempt` from its arrival loop; the driver commits as many
-    consecutive spans as stay eligible and returns the new local
-    arrival index (unchanged on an immediate bail).
+    Owned by one :class:`~repro.sim.kernel.SimKernel`, which calls
+    :meth:`attempt` from its arrival loop and passes itself in; the
+    driver commits as many consecutive spans as stay eligible and
+    returns the new local arrival index (unchanged on an immediate
+    bail).  The driver keeps no reference to the kernel, so the pair
+    forms no reference cycle and a finished run's window, state and
+    latency list are freed as soon as the kernel is dropped.
     """
 
-    def __init__(self, kernel, backend) -> None:
-        self.kernel = kernel
-        self.backend = backend
-        self._fn = backend.core_fn()
-        self._lists = not backend.wants_arrays
+    def __init__(self) -> None:
+        self._fn = NumpyBackend().core_fn()
         #: committed spans / bailed attempts / packets committed —
         #: profiling signals (``SimKernel.span_stats``)
         self.spans_committed = 0
@@ -126,25 +125,24 @@ class SpanDriver:
         self._cap = _CAP_INIT
 
     # ------------------------------------------------------------------
-    def attempt(self, li: int, horizon_ns: int) -> int:
-        """Drain consecutive spans starting at local index *li*; stop
-        at the first bail or at *horizon_ns*.  Returns the new li."""
+    def attempt(self, k, li: int, horizon_ns: int) -> int:
+        """Drain consecutive spans of kernel *k* starting at local
+        index *li*; stop at the first bail or at *horizon_ns*.  Returns
+        the new li."""
         while True:
-            li2 = self._one_span(li, horizon_ns)
+            li2 = self._one_span(k, li, horizon_ns)
             if li2 == li:
                 self.spans_bailed += 1
                 return li
             li = li2
 
     # ------------------------------------------------------------------
-    def _one_span(self, li: int, horizon_ns: int) -> int:
-        k = self.kernel
+    def _one_span(self, k, li: int, horizon_ns: int) -> int:
         st = k.state
         cfg = k.config
         sched = k.scheduler
 
-        if not getattr(sched, "batch_static", False):
-            return li
+        # the kernel attempts spans only for batch_static schedulers
         batch_commit = sched.batch_commit
         commit_span = getattr(sched, "batch_commit_span", None)
         if not getattr(sched, "commit_vectorized", False):
@@ -277,18 +275,13 @@ class SpanDriver:
         np.cumsum([len(rows) for rows in pre_pkts], out=pre_off[1:])
 
         fn = self._fn
-        lists = self._lists
         last_service = st.core_last_service
 
         def run_phase1(S: int):
             """Phase 1 over span prefix [0, S): pure, committable."""
             t_h = int(arr_span[S - 1])
-            if lists:
-                flow_last = list(init_last)
-                migrated = [0] * len(init_last)
-            else:
-                flow_last = np.asarray(init_last, dtype=np.int64)
-                migrated = np.zeros(len(init_last), dtype=np.int64)
+            flow_last = list(init_last)
+            migrated = [0] * len(init_last)
             per_core = []
             for c in range(n_cores):
                 rows_all = order[bounds[c] : bounds[c + 1]]
@@ -310,31 +303,16 @@ class SpanDriver:
                 floc = np.concatenate([inv_pre[p_lo:p_hi], inv_span[rows_c]])
                 busy_fin = busy_ev[c][0] if hb else 0
                 nb = n_rows + 1
-                if lists:
-                    a_arr, a_proc = arr_t.tolist(), proc.tolist()
-                    a_sid, a_floc = sid.tolist(), floc.tolist()
-                    order_buf = [0] * nb
-                    fin_buf = [0] * nb
-                    kind_buf = [0] * nb
-                    drop_buf = [0] * nb
-                    queue_buf = [0] * nb
-                    occ_buf = [0] * (rows_c.size + 1)
-                    out = [0] * OUT_SLOTS
-                else:
-                    a_arr = np.ascontiguousarray(arr_t, dtype=np.int64)
-                    a_proc = np.ascontiguousarray(proc, dtype=np.int64)
-                    a_sid = np.ascontiguousarray(sid, dtype=np.int64)
-                    a_floc = np.ascontiguousarray(floc, dtype=np.int64)
-                    order_buf = np.zeros(nb, dtype=np.int64)
-                    fin_buf = np.zeros(nb, dtype=np.int64)
-                    kind_buf = np.zeros(nb, dtype=np.int64)
-                    drop_buf = np.zeros(nb, dtype=np.int64)
-                    queue_buf = np.zeros(nb, dtype=np.int64)
-                    occ_buf = np.zeros(rows_c.size + 1, dtype=np.int64)
-                    out = np.zeros(OUT_SLOTS, dtype=np.int64)
+                order_buf = [0] * nb
+                fin_buf = [0] * nb
+                kind_buf = [0] * nb
+                drop_buf = [0] * nb
+                queue_buf = [0] * nb
+                occ_buf = [0] * (rows_c.size + 1)
+                out = [0] * OUT_SLOTS
                 fn(
                     c, n_rows, n_pre_c, hb, busy_fin,
-                    a_arr, a_proc, a_sid, a_floc,
+                    arr_t.tolist(), proc.tolist(), sid.tolist(), floc.tolist(),
                     flow_last, migrated,
                     last_service[c], guard_val, cap, fm_pen, cc_pen, t_h,
                     order_buf, fin_buf, kind_buf, drop_buf, queue_buf,
@@ -342,7 +320,7 @@ class SpanDriver:
                 )
                 per_core.append(
                     (rows_c, lrow, order_buf, fin_buf, kind_buf,
-                     drop_buf, queue_buf, occ_buf, [int(v) for v in out])
+                     drop_buf, queue_buf, occ_buf, out)
                 )
             return t_h, flow_last, migrated, per_core
 
@@ -596,10 +574,7 @@ class SpanDriver:
         mig = np.asarray(migrated, dtype=bool)
         if mig.any():
             st.flow_migrated[uniq[mig]] = True
-        final_last = (
-            flow_last if lists else flow_last.tolist()
-        )
-        for f, c in zip(uniq_list, final_last):
+        for f, c in zip(uniq_list, flow_last):
             flow_last_core[f] = c
 
         # -- core / queue / event state --------------------------------

@@ -73,7 +73,7 @@ import numpy as np
 from repro.errors import ConfigError, SimulationError
 from repro.schedulers.base import Scheduler
 from repro.sim.config import SimConfig
-from repro.sim.engine import EngineSpec, EventQueue, EventSnapshot, resolve_engine
+from repro.sim.events import EventQueue, EventSnapshot
 from repro.sim.events.span import RETRY_STRIDE, SpanDriver
 from repro.sim.hooks import HookBus
 from repro.sim.metrics import SimMetrics, SimReport
@@ -92,9 +92,9 @@ from repro.sim.workload import Workload
 __all__ = ["SimState", "SimKernel", "Checkpoint", "CHECKPOINT_VERSION"]
 
 #: bump when the pickled state layout changes incompatibly.
-#: v4: ``SimState.events`` is serialized as an engine-independent
-#: :class:`~repro.sim.events.base.EventSnapshot`, so a run checkpointed
-#: under one engine resumes bit-identically under another.
+#: v4: ``SimState.events`` is serialized as an
+#: :class:`~repro.sim.events.base.EventSnapshot` (the pending entries
+#: and tie-break bookkeeping) rather than a live queue object.
 CHECKPOINT_VERSION = 4
 
 #: local-index stride the arrival loop converts to plain Python lists
@@ -162,14 +162,8 @@ class SimState:
     last_arrival_ns: int = 0
 
     @classmethod
-    def initial(
-        cls,
-        config: SimConfig,
-        source: PacketSource,
-        events: EventQueue | None = None,
-    ) -> "SimState":
-        """Fresh pre-run state for *config* and *source*.  *events* is
-        the engine-chosen queue implementation (heap default)."""
+    def initial(cls, config: SimConfig, source: PacketSource) -> "SimState":
+        """Fresh pre-run state for *config* and *source*."""
         n_cores = config.num_cores
         return cls(
             now_ns=0,
@@ -183,7 +177,7 @@ class SimState:
             flow_last_core=[-1] * source.num_flows,
             flow_migrated=np.zeros(source.num_flows, dtype=bool),
             queues=QueueBank(config.num_cores, config.queue_capacity),
-            events=events if events is not None else EventQueue(),
+            events=EventQueue(),
             metrics=SimMetrics(len(config.services), config.num_cores),
             reorder=ReorderDetector(),
             departures=[],
@@ -275,7 +269,6 @@ class SimKernel:
         *,
         bus: HookBus | None = None,
         vectorized: bool = True,
-        engine: str | EngineSpec | None = None,
         state: SimState | None = None,
         _resumed: bool = False,
         _chunks: list[WorkloadChunk] | None = None,
@@ -305,25 +298,18 @@ class SimKernel:
             concat_chunks(list(self._chunks)) if self._chunks else empty_chunk(0)
         )
         self.bus = bus if bus is not None else HookBus()
-        #: resolved event-core engine (``repro.sim.engine`` registry)
-        self.engine_spec = (
-            engine if isinstance(engine, EngineSpec) else resolve_engine(engine)
-        )
-        self.state = (
-            state
-            if state is not None
-            else SimState.initial(config, source, self.engine_spec.make_queue())
-        )
+        self.state = state if state is not None else SimState.initial(config, source)
         self.injector = None
         self._finished = False
         self._start_packet = None
         self._complete_until = None
         self._wl_fp: str | None = None
-        #: the vectorized fast path is on iff requested and the
-        #: scheduler actually overrides assign_batch (results are
-        #: bit-identical either way — the flag exists for equivalence
-        #: tests and scalar-baseline benchmarks, and deliberately does
-        #: not enter the config fingerprint)
+        #: the vectorized fast path (planned columns + the span drain)
+        #: is on iff requested and the scheduler actually overrides
+        #: assign_batch (results are bit-identical either way — the
+        #: flag selects the scalar oracle for equivalence tests and
+        #: scalar-baseline benchmarks, and deliberately does not enter
+        #: the config fingerprint)
         self.vectorized = bool(vectorized)
         self._batch_on = self.vectorized and (
             type(scheduler).assign_batch is not Scheduler.assign_batch
@@ -341,13 +327,8 @@ class SimKernel:
         #: nominal service-time column for the live window (set by
         #: :meth:`_activate`, consumed by the span drain)
         self._nominal: np.ndarray | None = None
-        #: batched span drain — only engines with a compute backend
-        #: get one; the heap engine stays purely scalar (the oracle)
-        self._span = (
-            SpanDriver(self, self.engine_spec.span_backend)
-            if self.engine_spec.span_backend is not None
-            else None
-        )
+        #: batched span drain (runs only on the vectorized path)
+        self._span = SpanDriver()
         #: cumulative wall-clock ns spent planning columns
         #: (:meth:`_plan_column`) — the "plan" leg of the span-drain
         #: phase breakdown in :attr:`span_stats`
@@ -596,184 +577,98 @@ class SimKernel:
         # for a bank's whole lifetime, so the bindings stay valid)
         q_items = [q._items for q in queues]
 
-        if isinstance(events, EventQueue):
-            # heap engine: the closures inline heappush/heappop on the
-            # raw heap list with the queue's bookkeeping batched in
-            # locals — the scalar performance floor
-            heap = events.heap
+        # the closures inline heappush/heappop on the raw heap list
+        # with the queue's bookkeeping batched in locals
+        heap = events.heap
 
-            def start_packet(core: int, pkt: int, t_ns: int) -> None:
-                """Begin service of packet *pkt* (global index) on *core*."""
+        def start_packet(core: int, pkt: int, t_ns: int) -> None:
+            """Begin service of packet *pkt* (global index) on *core*."""
+            li = pkt - base
+            sid = svc_item(li)
+            fid = flow_item(li)
+            t_proc = proc_item(li)
+            last = flow_last_core[fid]
+            if last >= 0 and last != core:
+                t_proc += fm_pen
+                metrics.flow_migration_events += 1
+                flow_migrated[fid] = True
+            flow_last_core[fid] = core
+            if core_last_service[core] != sid:
+                if core_last_service[core] >= 0:
+                    t_proc += cc_pen
+                    metrics.cold_cache_events += 1
+                core_last_service[core] = sid
+            speed = core_speed[core]
+            if speed != 1.0:  # degraded core (repro.faults CoreSlowdown)
+                t_proc = int(round(t_proc * speed))
+            core_busy[core] = True
+            core_current_pkt[core] = pkt
+            busy_ns[core] += t_proc
+            # inlined events.push: completions are scheduled at
+            # t_ns + t_proc >= t_ns >= the last pop, so the causality
+            # check is vacuous here (the validated push remains on the
+            # injector path)
+            s = events._seq
+            heappush(heap, (t_ns + t_proc, s, (core, pkt)))
+            events._seq = s + 1
+
+        def complete_until(horizon_ns: int) -> None:
+            """Drain heap events with time <= horizon in time order.
+
+            Pops are inlined (heappop on the raw heap) with the queue's
+            popped/now bookkeeping — and the departed/last-depart
+            metrics — batched in locals; both batches are flushed
+            before any timed-event or queue-empty dispatch, so handlers
+            that push events or read counters see exact state, and at
+            exit, before probes sample.
+            """
+            n_popped = 0
+            n_departed = 0
+            t_done = -1
+            t_dep = -1
+            while heap and heap[0][0] <= horizon_ns:
+                t_done, _, payload = heappop(heap)
+                n_popped += 1
+                core, pkt = payload
+                if core < 0:  # timed platform event, not a completion
+                    events.flush_pops(n_popped, t_done)
+                    n_popped = 0
+                    if n_departed:
+                        metrics.departed += n_departed
+                        metrics.last_depart_ns = t_dep
+                        n_departed = 0
+                    dispatch_timed(pkt, t_done)
+                    continue
+                if killed_pkts and pkt in killed_pkts:
+                    killed_pkts.discard(pkt)  # died with its core
+                    continue
                 li = pkt - base
-                sid = svc_item(li)
-                fid = flow_item(li)
-                t_proc = proc_item(li)
-                last = flow_last_core[fid]
-                if last >= 0 and last != core:
-                    t_proc += fm_pen
-                    metrics.flow_migration_events += 1
-                    flow_migrated[fid] = True
-                flow_last_core[fid] = core
-                if core_last_service[core] != sid:
-                    if core_last_service[core] >= 0:
-                        t_proc += cc_pen
-                        metrics.cold_cache_events += 1
-                    core_last_service[core] = sid
-                speed = core_speed[core]
-                if speed != 1.0:  # degraded core (repro.faults CoreSlowdown)
-                    t_proc = int(round(t_proc * speed))
-                core_busy[core] = True
-                core_current_pkt[core] = pkt
-                busy_ns[core] += t_proc
-                # inlined events.push: completions are scheduled at
-                # t_ns + t_proc >= t_ns >= the last pop, so the causality
-                # check is vacuous here (the validated push remains on the
-                # injector path)
-                s = events._seq
-                heappush(heap, (t_ns + t_proc, s, (core, pkt)))
-                events._seq = s + 1
-
-            def complete_until(horizon_ns: int) -> None:
-                """Drain heap events with time <= horizon in time order.
-
-                Pops are inlined (heappop on the raw heap) with the queue's
-                popped/now bookkeeping — and the departed/last-depart
-                metrics — batched in locals; both batches are flushed
-                before any timed-event or queue-empty dispatch, so handlers
-                that push events or read counters see exact state, and at
-                exit, before probes sample.
-                """
-                n_popped = 0
-                n_departed = 0
-                t_done = -1
-                t_dep = -1
-                while heap and heap[0][0] <= horizon_ns:
-                    t_done, _, payload = heappop(heap)
-                    n_popped += 1
-                    core, pkt = payload
-                    if core < 0:  # timed platform event, not a completion
+                n_departed += 1
+                t_dep = t_done  # pops are time-ordered
+                on_depart(flow_item(li), seq_item(li))
+                if collect_lat:
+                    latencies.append(t_done - arr_item(li))
+                if record_dep:
+                    departures.append((flow_item(li), seq_item(li), t_done))
+                qi = q_items[core]
+                if qi:
+                    start_packet(core, qi.popleft(), t_done)
+                else:
+                    core_busy[core] = False
+                    core_current_pkt[core] = -1
+                    if on_queue_empty is not None:
                         events.flush_pops(n_popped, t_done)
                         n_popped = 0
                         if n_departed:
                             metrics.departed += n_departed
                             metrics.last_depart_ns = t_dep
                             n_departed = 0
-                        dispatch_timed(pkt, t_done)
-                        continue
-                    if killed_pkts and pkt in killed_pkts:
-                        killed_pkts.discard(pkt)  # died with its core
-                        continue
-                    li = pkt - base
-                    n_departed += 1
-                    t_dep = t_done  # pops are time-ordered
-                    on_depart(flow_item(li), seq_item(li))
-                    if collect_lat:
-                        latencies.append(t_done - arr_item(li))
-                    if record_dep:
-                        departures.append((flow_item(li), seq_item(li), t_done))
-                    qi = q_items[core]
-                    if qi:
-                        start_packet(core, qi.popleft(), t_done)
-                    else:
-                        core_busy[core] = False
-                        core_current_pkt[core] = -1
-                        if on_queue_empty is not None:
-                            events.flush_pops(n_popped, t_done)
-                            n_popped = 0
-                            if n_departed:
-                                metrics.departed += n_departed
-                                metrics.last_depart_ns = t_dep
-                                n_departed = 0
-                            on_queue_empty(core, t_done)
-                if n_popped:
-                    events.flush_pops(n_popped, t_done)
-                if n_departed:
-                    metrics.departed += n_departed
-                    metrics.last_depart_ns = t_dep
-
-        else:
-            # calendar engines: the pending structure is opaque, so the
-            # closures go through the queue's methods with the cheap
-            # ``next_ref`` peek cell standing in for ``heap[0][0]``.
-            # pop() carries its own popped/now bookkeeping, so only the
-            # departed-metrics batch needs flushing around dispatches.
-            # The scalar path matters less here: the span drain in
-            # repro.sim.events.span bypasses these closures for eligible
-            # arrival runs.
-            ev_push = events.push
-            ev_pop = events.pop
-            ev_next = events.next_ref
-
-            def start_packet(core: int, pkt: int, t_ns: int) -> None:
-                """Begin service of packet *pkt* (global index) on *core*."""
-                li = pkt - base
-                sid = svc_item(li)
-                fid = flow_item(li)
-                t_proc = proc_item(li)
-                last = flow_last_core[fid]
-                if last >= 0 and last != core:
-                    t_proc += fm_pen
-                    metrics.flow_migration_events += 1
-                    flow_migrated[fid] = True
-                flow_last_core[fid] = core
-                if core_last_service[core] != sid:
-                    if core_last_service[core] >= 0:
-                        t_proc += cc_pen
-                        metrics.cold_cache_events += 1
-                    core_last_service[core] = sid
-                speed = core_speed[core]
-                if speed != 1.0:  # degraded core (repro.faults CoreSlowdown)
-                    t_proc = int(round(t_proc * speed))
-                core_busy[core] = True
-                core_current_pkt[core] = pkt
-                busy_ns[core] += t_proc
-                ev_push(t_ns + t_proc, (core, pkt))
-
-            def complete_until(horizon_ns: int) -> None:
-                """Drain pending events with time <= horizon in order.
-
-                The departed/last-depart metrics are batched in locals
-                and flushed before any timed-event or queue-empty
-                dispatch and at exit, exactly as the heap closure does.
-                """
-                n_departed = 0
-                t_dep = -1
-                while ev_next[0] <= horizon_ns:
-                    t_done, payload = ev_pop()
-                    core, pkt = payload
-                    if core < 0:  # timed platform event, not a completion
-                        if n_departed:
-                            metrics.departed += n_departed
-                            metrics.last_depart_ns = t_dep
-                            n_departed = 0
-                        dispatch_timed(pkt, t_done)
-                        continue
-                    if killed_pkts and pkt in killed_pkts:
-                        killed_pkts.discard(pkt)  # died with its core
-                        continue
-                    li = pkt - base
-                    n_departed += 1
-                    t_dep = t_done  # pops are time-ordered
-                    on_depart(flow_item(li), seq_item(li))
-                    if collect_lat:
-                        latencies.append(t_done - arr_item(li))
-                    if record_dep:
-                        departures.append((flow_item(li), seq_item(li), t_done))
-                    qi = q_items[core]
-                    if qi:
-                        start_packet(core, qi.popleft(), t_done)
-                    else:
-                        core_busy[core] = False
-                        core_current_pkt[core] = -1
-                        if on_queue_empty is not None:
-                            if n_departed:
-                                metrics.departed += n_departed
-                                metrics.last_depart_ns = t_dep
-                                n_departed = 0
-                            on_queue_empty(core, t_done)
-                if n_departed:
-                    metrics.departed += n_departed
-                    metrics.last_depart_ns = t_dep
+                        on_queue_empty(core, t_done)
+            if n_popped:
+                events.flush_pops(n_popped, t_done)
+            if n_departed:
+                metrics.departed += n_departed
+                metrics.last_depart_ns = t_dep
 
         self._start_packet = start_packet
         self._complete_until = complete_until
@@ -785,23 +680,13 @@ class SimKernel:
 
     @property
     def span_stats(self) -> dict[str, int]:
-        """Batched-drain counters (all zero on the scalar heap engine):
+        """Batched-drain counters (all zero on the scalar path):
         spans committed, attempts bailed to the scalar path, packets
         dispatched through committed spans, and the wall-clock phase
-        split — ``plan_ns`` (column planning, accumulated on every
-        engine), ``drain_ns`` (phase-1 per-core simulation) and
-        ``commit_ns`` (phase-2 state commit including the scheduler's
-        span commit)."""
+        split — ``plan_ns`` (column planning), ``drain_ns`` (phase-1
+        per-core simulation) and ``commit_ns`` (phase-2 state commit
+        including the scheduler's span commit)."""
         s = self._span
-        if s is None:
-            return {
-                "spans_committed": 0,
-                "spans_bailed": 0,
-                "packets_spanned": 0,
-                "plan_ns": self.plan_ns,
-                "drain_ns": 0,
-                "commit_ns": 0,
-            }
         return {
             "spans_committed": s.spans_committed,
             "spans_bailed": s.spans_bailed,
@@ -849,15 +734,15 @@ class SimKernel:
         gen_per_service = metrics.generated_per_service
         drop_per_service = metrics.dropped_per_service
         qs = [queues[c] for c in range(n_cores)]
-        if isinstance(st.events, EventQueue):
-            # mutated in place; identity is stable
-            ev_heap = st.events.heap
-            ev_next = [1 << 62]  # never due: the heap peek is authoritative
-        else:
-            ev_heap = ()  # never truthy: the next_ref peek is authoritative
-            ev_next = st.events.next_ref
+        ev_heap = st.events.heap  # mutated in place; identity is stable
         batch_on = self._batch_on
-        span = self._span if batch_on else None
+        # the span drain commits only static plans: skip the attempts
+        # outright for schedulers whose plans are not batch-static
+        span = (
+            self._span
+            if batch_on and getattr(sched, "batch_static", False)
+            else None
+        )
         sel = sched.select_core
         guard = sched.batch_guard
         commit = sched.batch_commit
@@ -896,7 +781,7 @@ class SimKernel:
             try:
                 while li < n_local:
                     if li == span_li:
-                        li2 = span.attempt(li, t_ns)
+                        li2 = span.attempt(self, li, t_ns)
                         # the attempt replans/consumes the column plan:
                         # resync the mirrored locals unconditionally
                         col = self._col
@@ -926,10 +811,7 @@ class SimKernel:
                     t = arr_seg[k]
                     if t > t_ns:
                         break
-                    if ev_heap:
-                        if ev_heap[0][0] <= t:
-                            complete_until(t)
-                    elif ev_next[0] <= t:
+                    if ev_heap and ev_heap[0][0] <= t:
                         complete_until(t)
                     if sample is not None:
                         sample(t)
@@ -1170,8 +1052,7 @@ class SimKernel:
             }
         st = self.state
         payload = (st, self.scheduler, self.injector, extras)
-        # v4: the blob stores the engine-independent EventSnapshot, not
-        # the live queue, so any engine can resume any checkpoint
+        # v4: the blob stores the EventSnapshot, not the live queue
         live_events = st.events
         st.events = live_events.snapshot()
         try:
@@ -1200,20 +1081,14 @@ class SimKernel:
         probe=None,
         bus: HookBus | None = None,
         vectorized: bool = True,
-        engine: str | None = None,
     ) -> "SimKernel":
         """Rebuild a kernel from *checkpoint* and continue the run.
 
         *vectorized* need not match the checkpointing kernel's setting:
-        planned columns are never serialized and every scheduler's
-        batch bookkeeping is committed per dispatched packet, so either
-        mode resumes to the same report.
-
-        *engine* need not match either: the v4 blob stores the event
-        set in its engine-independent snapshot form, so a run
-        checkpointed under one engine resumes bit-identically under
-        another (cross-engine both ways; pinned by
-        ``tests/sim/test_engine_parity.py``).
+        planned columns and span-drain state are never serialized and
+        every scheduler's batch bookkeeping is committed per dispatched
+        packet, so either path resumes to the same report (both
+        directions are pinned by ``tests/sim/test_span_parity.py``).
 
         *config* and *workload* must describe the packet sequence the
         checkpointed run used (validated by fingerprint — materialized
@@ -1239,9 +1114,8 @@ class SimKernel:
                 "checkpoint was taken against a different workload"
             )
         state, scheduler, injector, extras = pickle.loads(checkpoint.blob)
-        spec = resolve_engine(engine)
         if isinstance(state.events, EventSnapshot):
-            state.events = spec.queue_cls.from_snapshot(state.events)
+            state.events = EventQueue.from_snapshot(state.events)
         chunks = None
         exhausted = False
         source_arg = workload
@@ -1256,7 +1130,7 @@ class SimKernel:
                 exhausted = extras["exhausted"]
         kernel = cls(
             config, scheduler, source_arg, bus=bus, state=state,
-            vectorized=vectorized, engine=spec, _resumed=True,
+            vectorized=vectorized, _resumed=True,
             _chunks=chunks, _exhausted=exhausted,
         )
         if injector is not None:

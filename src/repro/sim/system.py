@@ -33,7 +33,7 @@ checkpointing.
 
 from __future__ import annotations
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.schedulers.base import Scheduler
 from repro.sim.config import SimConfig
 from repro.sim.kernel import SimKernel
@@ -64,11 +64,8 @@ class NetworkProcessorSim:
         injector=None,
         *,
         vectorized: bool = True,
-        engine: str | None = None,
     ) -> None:
-        self.kernel = SimKernel(
-            config, scheduler, workload, vectorized=vectorized, engine=engine
-        )
+        self.kernel = SimKernel(config, scheduler, workload, vectorized=vectorized)
         self.config = config
         self.scheduler = scheduler
         self.workload = workload
@@ -126,12 +123,13 @@ def simulate(
     materialized :class:`Workload` or a streaming
     :class:`~repro.sim.source.PacketSource`).
 
-    ``vectorized=False`` forces the per-packet scalar scheduling path;
-    the report is bit-identical either way (the equivalence suite pins
+    ``vectorized=False`` forces the scalar oracle — per-packet
+    scheduling and one heap push/pop per packet, no span drain; the
+    report is bit-identical either way (the equivalence suite pins
     this), so the flag only matters for benchmarking both paths.
-    *engine* picks the event core (see
-    :func:`repro.sim.engine.resolve_engine`); reports are bit-identical
-    across engines too — the engines trade speed, never outcomes.
+    *engine* survives only for old callers: ``None`` or ``"heap"`` (the
+    one event queue) is accepted, anything else raises
+    :class:`~repro.errors.ConfigError`.
 
     ``shards`` ≥ 2 delegates to :func:`repro.sim.sharding.run_sharded`:
     the system is partitioned and run over ``shard_workers`` processes
@@ -142,6 +140,12 @@ def simulate(
     caller's job — apply them to the workload first).  Telemetry probes
     sample global state and are not supported sharded.
     """
+    if engine not in (None, "heap"):
+        raise ConfigError(
+            f"engine {engine!r} was removed: the simulator has one event "
+            "queue; choose between the span drain and the scalar oracle "
+            "with vectorized=True/False"
+        )
     if shards is not None and shards > 1:
         if probe is not None:
             raise SimulationError(
@@ -164,10 +168,9 @@ def simulate(
             workload, scheduler, config,
             shards=shards, workers=shard_workers,
             window_ns=shard_window_ns, schedule=schedule,
-            drain_policy=drain_policy, engine=engine,
-            vectorized=vectorized,
+            drain_policy=drain_policy, vectorized=vectorized,
         ).report
     return NetworkProcessorSim(
         config or SimConfig(), scheduler, workload, probe=probe,
-        injector=injector, vectorized=vectorized, engine=engine,
+        injector=injector, vectorized=vectorized,
     ).run()

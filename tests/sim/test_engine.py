@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import EventQueue
+from repro.sim.events import EventQueue
 
 
 class TestOrdering:

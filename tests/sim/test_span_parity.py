@@ -1,0 +1,183 @@
+"""Span drain vs scalar oracle: bit-identical reports, exact resume.
+
+The simulator has one event queue and two paths over it: the span
+drain (``vectorized=True``, the default) and the scalar oracle
+(``vectorized=False``: per-packet scheduling and one heap push/pop per
+packet).  The path is a speed knob, never a behaviour knob —
+``SimReport``s are bit-identical for every scheduler, materialized and
+streamed sources and fault schedules, and a checkpoint taken on one
+path resumes bit-exactly on the other.
+"""
+
+from __future__ import annotations
+
+import gc
+import gzip
+import pickle
+import weakref
+from pathlib import Path
+
+import pytest
+
+from repro import units
+from repro.errors import ConfigError
+from repro.faults.injector import FaultInjector
+from repro.obs.manifest import RunManifest
+from repro.sim import system
+from repro.sim.events import EventQueue, EventSnapshot
+from repro.sim.kernel import Checkpoint, SimKernel
+from repro.sim.system import simulate
+from tests.schedulers.test_assign_batch import (
+    KERNEL_SCHEDULERS,
+    _config,
+    _faults,
+    _kernel_sched,
+    _workload,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _run(name, vectorized, *, chunk_size=None, faulted=False, seed=3):
+    wl = _workload(seed, chunk_size)
+    injector = FaultInjector(_faults()) if faulted else None
+    return simulate(wl, _kernel_sched(name), _config(),
+                    injector=injector, vectorized=vectorized)
+
+
+# ----------------------------------------------------------------------
+# report bit-identity across the two paths
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+def test_span_bit_identical_materialized(name):
+    assert _run(name, True) == _run(name, False)
+
+
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+def test_span_bit_identical_streamed(name):
+    assert _run(name, True, chunk_size=701) == _run(name, False, chunk_size=701)
+
+
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+def test_span_bit_identical_faulted(name):
+    assert _run(name, True, faulted=True) == _run(name, False, faulted=True)
+
+
+def test_spans_actually_commit():
+    """Guard against the parity tests passing vacuously: the default
+    path must really drain spans, and the oracle must never."""
+    wl = _workload(3, None)
+    kernel = SimKernel(_config(), _kernel_sched("hash-static"), wl)
+    kernel.run()
+    stats = kernel.span_stats
+    assert stats["spans_committed"] > 0
+    assert stats["packets_spanned"] > 0
+    oracle = SimKernel(_config(), _kernel_sched("hash-static"), wl,
+                       vectorized=False)
+    oracle.run()
+    assert oracle.span_stats["packets_spanned"] == 0
+
+
+def test_finished_kernel_is_freed_without_gc():
+    """The span driver holds no reference back to its kernel, so a
+    finished run (window, state, latency list) is released by
+    reference counting alone, not left for a cyclic collection."""
+    refs = []
+
+    class Recorded(SimKernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    original = system.SimKernel
+    gc.disable()
+    try:
+        system.SimKernel = Recorded
+        simulate(_workload(3, None), _kernel_sched("hash-static"), _config())
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        system.SimKernel = original
+        gc.enable()
+
+
+def test_engine_keyword_accepts_only_heap():
+    wl = _workload(2, None)
+    rep = simulate(wl, _kernel_sched("hash-static"), _config(), engine="heap")
+    assert rep == simulate(wl, _kernel_sched("hash-static"), _config())
+    with pytest.raises(ConfigError, match="removed"):
+        simulate(wl, _kernel_sched("hash-static"), _config(), engine="calendar")
+
+
+# ----------------------------------------------------------------------
+# checkpoint / resume across the two paths
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair", [
+    (False, True),
+    (True, False),
+    (True, True),
+    (False, False),
+])
+@pytest.mark.parametrize("name", ["laps", "hash-static"])
+def test_cross_path_checkpoint_resume(name, pair):
+    """A checkpoint taken on one path resumes bit-exactly on the other:
+    the blob stores an EventSnapshot (v4) and never any span-drain or
+    column-plan state."""
+    vec_a, vec_b = pair
+    cfg = _config()
+    wl = _workload(1, None)
+    base = simulate(wl, _kernel_sched(name), cfg,
+                    injector=FaultInjector(_faults()), vectorized=vec_a)
+
+    kernel = SimKernel(cfg, _kernel_sched(name), wl, vectorized=vec_a)
+    kernel.attach_injector(FaultInjector(_faults()))
+    kernel.run_until(units.us(400))  # mid-run, with a core down
+    ckpt = kernel.checkpoint()
+    resumed = SimKernel.resume(ckpt, cfg, wl, vectorized=vec_b)
+    assert resumed.run() == base
+
+
+def test_checkpoint_blob_holds_a_snapshot():
+    """The pickled state must contain an EventSnapshot, not the live
+    queue object, and taking it must not disturb the running kernel."""
+    wl = _workload(4, None)
+    kernel = SimKernel(_config(), _kernel_sched("hash-static"), wl)
+    kernel.run_until(units.us(300))
+    assert kernel.checkpoint().version == 4
+    state, _sched, _inj, _extras = pickle.loads(kernel.checkpoint().blob)
+    assert isinstance(state.events, EventSnapshot)
+    assert isinstance(kernel.state.events, EventQueue)
+    kernel.run()  # completes without error
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_committed_v4_checkpoint_resumes(vectorized):
+    """A v4 blob taken before the engine registry was removed (faulted
+    LAPS, paused at 400 us) still loads and resumes to the report the
+    uninterrupted run produced then."""
+    saved = pickle.loads(gzip.decompress(
+        (FIXTURES / "checkpoint_v4.pkl.gz").read_bytes()
+    ))
+    ckpt = Checkpoint.from_bytes(saved["checkpoint"])
+    cfg = _config(record_departures=False)
+    resumed = SimKernel.resume(ckpt, cfg, _workload(1, None),
+                               vectorized=vectorized)
+    assert resumed.run() == saved["report"]
+
+
+# ----------------------------------------------------------------------
+# manifest provenance
+# ----------------------------------------------------------------------
+
+
+def test_old_manifest_with_engine_key_loads():
+    d = RunManifest.capture(seed=1, scheduler="laps").to_dict()
+    assert "engine" not in d
+    d["engine"] = "calendar"
+    m = RunManifest.from_dict(d)
+    assert m.scheduler == "laps"
+    assert m.to_dict() == RunManifest.from_dict(m.to_dict()).to_dict()
