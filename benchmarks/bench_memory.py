@@ -18,8 +18,9 @@ where ``/proc`` is unavailable.  Assertions:
 * materialized peak RSS grows with the packet count;
 * at the large size, streamed stays below materialized and below a
   generous fixed ceiling over the interpreter baseline;
-* the span drain (the default path) costs no memory: a streamed run
-  peaks within 5% of its ``vectorized=False`` scalar-oracle twin.
+* the span drain (the default path) bounds its working set: a streamed
+  run peaks within a few MiB of its ``vectorized=False`` scalar-oracle
+  twin.
 
 The same harness covers pcap replay:
 :class:`repro.workloads.replay.PcapReplaySource` re-streams the capture
@@ -40,14 +41,23 @@ import sys
 from pathlib import Path
 
 _QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-# (small, large) simulated packet targets per mode
-_SIZES = (75_000, 300_000) if _QUICK else (500_000, 2_000_000)
+# (small, large) simulated packet targets per mode.  Streamed peak RSS
+# still climbs (flow state) up to ~600k packets before it flattens, so
+# the quick large size sits past that, where materialized clearly
+# exceeds it (~98 vs ~159 MiB at 1M packets on a 2-CPU x86 runner).
+_SIZES = (250_000, 1_000_000) if _QUICK else (500_000, 2_000_000)
 # (small, large) replayed packet targets (repeat scales the passes)
 _REPLAY_SIZES = (50_000, 400_000) if _QUICK else (250_000, 2_000_000)
 #: streamed growth allowance small→large, and the fixed headroom over
 #: the interpreter baseline a streamed large run must stay within
 _FLAT_MB = 48.0
 _CEILING_MB = 160.0
+#: span-vs-scalar run size and the MiB the span drain may add over its
+#: scalar twin.  Small enough that the span working set, not later
+#: flow-state growth, sets the high-watermark: the 1 Mi-row span cap
+#: this guards against adds ~14 MiB here, the 16 Ki-row cap < 1 MiB.
+_SPAN_PACKETS = 200_000
+_SPAN_SLACK_MB = 8.0
 
 _CHILD = r"""
 import sys
@@ -155,13 +165,13 @@ def test_streamed_rss_stays_flat_while_materialized_grows():
 
 def test_span_drain_rss_matches_scalar_oracle():
     """The span drain bounds its working set (the adaptive span cap):
-    a streamed hash-static run on the default path peaks at no more
-    than 1.05x the same run on the scalar oracle."""
-    n = _SIZES[1]
+    a streamed hash-static run on the default path peaks at most
+    ``_SPAN_SLACK_MB`` above the same run on the scalar oracle."""
+    n = _SPAN_PACKETS
     span = _peak_rss_mb("streamed", n)
     scalar = _peak_rss_mb("streamed-scalar", n)
     print(f"\n[rss MiB] streamed {n}: span={span:.1f}  scalar={scalar:.1f}")
-    assert span <= 1.05 * scalar
+    assert span - scalar <= _SPAN_SLACK_MB
 
 def test_replay_rss_stays_flat_as_repeat_scales():
     """Pcap replay is O(chunk + flows): repeating the capture 8x must

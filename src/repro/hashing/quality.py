@@ -12,12 +12,16 @@ deliberately bad hash):
   what the scheduler actually suffers: even a perfectly uniform hash
   leaves weighted imbalance when flow sizes are skewed — the paper's
   core motivation, made measurable.
+
+scipy is imported inside :func:`chi_square_pvalue`, its only user: no
+simulation calls it, and importing ``scipy.stats`` at module level
+costs every ``import repro`` (and every spawned worker) most of a
+second.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.util.stats import jain_fairness
 
@@ -60,7 +64,17 @@ def chi_square_statistic(hashes: np.ndarray, num_buckets: int) -> float:
 
 def chi_square_pvalue(hashes: np.ndarray, num_buckets: int) -> float:
     """p-value of the uniformity test (high = indistinguishable from
-    uniform; a good hash on random keys should NOT reject)."""
+    uniform; a good hash on random keys should NOT reject).
+
+    Needs at least two buckets: with one, the test has zero degrees of
+    freedom and no p-value.
+    """
+    if num_buckets < 2:
+        raise ValueError(
+            f"chi-square test needs at least 2 buckets, got {num_buckets}"
+        )
+    from scipy import stats
+
     stat = chi_square_statistic(hashes, num_buckets)
     return float(stats.chi2.sf(stat, df=num_buckets - 1))
 

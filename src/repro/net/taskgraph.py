@@ -13,13 +13,15 @@ Because modern network processors pin all tasks of a path to one core
 indivisible service; this module builds the graph explicitly (on
 networkx) so path costs are derived from per-task costs rather than
 hard-coded, and so users can model their own routers.
+
+networkx is imported inside the two :class:`TaskGraph` methods that
+need it, so ``import repro`` does not load it: no simulation builds a
+task graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro import units
 from repro.net.service import Service, ServiceSet
@@ -74,6 +76,8 @@ class TaskGraph:
     """
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self.graph = nx.DiGraph()
         self._paths: dict[str, tuple[str, ...]] = {}
 
@@ -84,6 +88,8 @@ class TaskGraph:
 
     def add_path(self, name: str, nodes: list[str]) -> None:
         """Register a service path; adds the edges along it."""
+        import networkx as nx
+
         if name in self._paths:
             raise ValueError(f"duplicate path {name!r}")
         if len(nodes) < 2:

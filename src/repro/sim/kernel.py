@@ -222,7 +222,15 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Checkpoint":
-        obj = pickle.loads(raw)
+        # on empty, truncated or foreign bytes pickle raises
+        # UnpicklingError, EOFError, AttributeError, ImportError,
+        # IndexError, "but not necessarily limited to" those (its docs)
+        try:
+            obj = pickle.loads(raw)
+        except Exception as exc:
+            raise SimulationError(
+                f"not a simulation checkpoint: {type(exc).__name__}: {exc}"
+            ) from exc
         if not isinstance(obj, cls):
             raise SimulationError(
                 f"not a simulation checkpoint: {type(obj).__name__}"

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import units
 from repro.hashing.five_tuple import FiveTuple
 from repro.net.service import Service, ServiceSet
@@ -72,3 +78,26 @@ def small_config(single_service) -> SimConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python *args`` in a new interpreter, so nothing this test
+    process already imported is in its ``sys.modules``; returns the
+    completed process (stdout/stderr as text) after checking it exited 0.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        proc = subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    return run

@@ -59,6 +59,25 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi_square_statistic(np.array([], dtype=np.int64), 4)
 
+    @pytest.mark.parametrize("num_buckets", [1, 0])
+    def test_fewer_than_two_buckets_rejected(self, num_buckets):
+        """One bucket leaves zero degrees of freedom: no p-value (it
+        used to come back as nan)."""
+        with pytest.raises(ValueError, match="at least 2 buckets"):
+            chi_square_pvalue(np.arange(10), num_buckets)
+
+    def test_pvalue_works_as_first_call_in_fresh_process(self, fresh_python):
+        """scipy is imported lazily inside the function; the first call
+        in a process that never loaded it must still work."""
+        out = fresh_python("-c", (
+            "import numpy as np\n"
+            "from repro.hashing.quality import chi_square_pvalue\n"
+            "print(chi_square_pvalue(np.arange(160), 16),"
+            " chi_square_pvalue(np.zeros(5000, dtype=np.int64), 16))"
+        )).stdout.split()
+        assert float(out[0]) == pytest.approx(1.0)
+        assert float(out[1]) < 1e-10
+
 
 class TestLoadImbalance:
     def test_uniform_is_one(self):

@@ -85,6 +85,16 @@ class TestEdgeRouterGraph:
         tg = build_edge_router_graph()
         assert tg.task("scan").base_ns == units.us(3.03)
 
+    def test_builds_as_first_call_in_fresh_process(self, fresh_python):
+        """networkx is imported lazily by TaskGraph; building the graph
+        first thing in a new process must still work and yield a DiGraph."""
+        out = fresh_python("-c", (
+            "from repro.net.taskgraph import build_edge_router_graph\n"
+            "tg = build_edge_router_graph()\n"
+            "print(type(tg.graph).__name__, *tg.path_cost('vpn-in-scan'))"
+        )).stdout.split()
+        assert out == ["DiGraph", str(units.us(5.8)), str(units.us(0.21))]
+
 
 class TestServicesFromGraph:
     def test_matches_default_services(self):

@@ -267,6 +267,19 @@ class TestCheckpointResume:
         with pytest.raises(SimulationError, match="not a simulation checkpoint"):
             Checkpoint.from_bytes(pickle.dumps({"hello": 1}))
 
+    @pytest.mark.parametrize("raw", [b"", b"garbage"], ids=["empty", "garbage"])
+    def test_from_bytes_rejects_non_pickle(self, raw):
+        with pytest.raises(SimulationError, match="not a simulation checkpoint") as err:
+            Checkpoint.from_bytes(raw)
+        assert err.value.__cause__ is not None
+
+    def test_from_bytes_rejects_truncated_checkpoint(self):
+        wl = manual_workload([0, 100], [0, 1])
+        raw = SimKernel(small_config(), StaticHashScheduler(), wl).checkpoint().to_bytes()
+        with pytest.raises(SimulationError, match="not a simulation checkpoint") as err:
+            Checkpoint.from_bytes(raw[: len(raw) // 2])
+        assert err.value.__cause__ is not None
+
     def test_resumed_probe_restarts_sampling(self):
         # probes are not checkpointed; a fresh one attached at resume
         # samples the remainder without disturbing the outcome
