@@ -25,7 +25,7 @@ from repro.core.lfu import LFUCache
 from repro.hashing.crc import CRC16_CCITT
 from repro.hashing.five_tuple import pack_five_tuples_batch
 from repro.net.service import Service, ServiceSet
-from repro.schedulers.base import make_scheduler
+from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
 from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
 from repro.sim.system import simulate
@@ -258,24 +258,30 @@ def test_epoch_churn_stress(benchmark):
     )
 
 
-def test_laps_span_commit_floor(benchmark):
-    """LAPS on the span drain (the default path) must not lose to the
-    scalar oracle (``vectorized=False``).  The batch-native commit path
+#: registered schedulers with a vectorized plan (a class-level
+#: ``assign_batch``): each one must earn its plan against its own
+#: scalar path
+PLAN_SCHEDULERS = [
+    name for name in available_schedulers()
+    if type(make_scheduler(name)).assign_batch is not Scheduler.assign_batch
+]
+
+
+@pytest.mark.parametrize("name", PLAN_SCHEDULERS)
+def test_plan_floor(benchmark, name):
+    """A scheduler's plan on the default path (planned columns, plus
+    the span drain for ``batch_static`` schedulers) must not lose to
+    its own scalar oracle (``vectorized=False``).  A plan that loses is
+    deleted, not tolerated.  For LAPS the batch-native span commit
     (``AFD.observe_batch`` + ``CoreAllocator.note_load_batch``) is what
-    pays for the span machinery; a silent regression back to per-packet
-    scalar replay shows up here as span < scalar.  The workload is sized
-    past the span warm-up crossover (the AIMD span cap and column
-    planner amortize over ~100k packets — below that the scalar oracle
-    wins on fixed overhead alone, so this test ignores
+    pays for the span machinery; a silent regression back to
+    per-packet replay shows up here as default < scalar.  The workload
+    is sized past the span warm-up crossover (the AIMD span cap and
+    column planner amortize over ~100k packets — below that the scalar
+    oracle wins on fixed overhead alone, so this test ignores
     ``REPRO_BENCH_QUICK``), and the two paths are interleaved
     round-by-round so a slow patch on a shared runner hits both
-    equally.  The ``commit_vectorized`` capability bit is pinned
-    structurally too — without it the span driver ignores
-    ``batch_commit_span`` entirely."""
-    assert LAPSScheduler.commit_vectorized, (
-        "LAPS lost its commit_vectorized bit — the span driver will "
-        "ignore batch_commit_span and replay batch_commit per packet"
-    )
+    equally."""
     packets = 150_000
     svc = ServiceSet([Service(0, "ip-forward", units.us(0.5))])
     trace = preset_trace("caida-1", num_packets=packets)
@@ -285,35 +291,39 @@ def test_laps_span_commit_floor(benchmark):
     )
     cfg = SimConfig(num_cores=8, services=svc, collect_latencies=False)
 
+    def make():
+        if name == "laps":
+            return LAPSScheduler(LAPSConfig(num_services=1), rng=7)
+        return make_scheduler(name)
+
     def one(vectorized):
-        sched = LAPSScheduler(LAPSConfig(num_services=1), rng=7)
+        sched = make()
         t0 = time.perf_counter()
         rep = simulate(wl, sched, cfg, vectorized=vectorized)
         return rep.generated / (time.perf_counter() - t0), rep
 
     def run():
-        span_pps = scalar_pps = 0.0
-        span_rep = scalar_rep = None
+        plan_pps = scalar_pps = 0.0
+        plan_rep = scalar_rep = None
         for _ in range(3):  # interleaved: noise drifts hit both paths
-            pps, span_rep = one(True)
-            span_pps = max(span_pps, pps)
+            pps, plan_rep = one(True)
+            plan_pps = max(plan_pps, pps)
             pps, scalar_rep = one(False)
             scalar_pps = max(scalar_pps, pps)
-        return span_pps, span_rep, scalar_pps, scalar_rep
+        return plan_pps, plan_rep, scalar_pps, scalar_rep
 
-    span_pps, span_rep, scalar_pps, scalar_rep = benchmark.pedantic(
+    plan_pps, plan_rep, scalar_pps, scalar_rep = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    assert span_rep == scalar_rep  # the paths trade speed, never outcomes
+    assert plan_rep == scalar_rep  # the paths trade speed, never outcomes
     floor = float(os.environ.get("REPRO_BENCH_MIN_PPS", "20000"))
-    assert span_pps >= floor, (
-        f"LAPS on the span drain at {span_pps:,.0f} simulated pkts/s, "
+    assert plan_pps >= floor, (
+        f"{name} on the default path at {plan_pps:,.0f} simulated pkts/s, "
         f"below the REPRO_BENCH_MIN_PPS floor of {floor:,.0f}"
     )
-    assert span_pps >= scalar_pps, (
-        f"LAPS span drain ({span_pps:,.0f} pkts/s) lost to the scalar "
-        f"oracle ({scalar_pps:,.0f} pkts/s) — has the span commit path "
-        f"gone scalar again?"
+    assert plan_pps >= scalar_pps, (
+        f"{name}'s plan ({plan_pps:,.0f} pkts/s) lost to its scalar "
+        f"oracle ({scalar_pps:,.0f} pkts/s) — delete the plan or fix it"
     )
 
 

@@ -235,9 +235,7 @@ class LAPSScheduler(Scheduler):
     #: bounded span caps the wasted vector work per bump
     _BATCH_SPAN = 8192
 
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
+    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
         """Vectorized Sec. III-E lookup: per-service incremental-hash
         map tables, overridden by a sparse migration-table overlay.
 
@@ -289,11 +287,6 @@ class LAPSScheduler(Scheduler):
         guard's reading of that core's queue)."""
         self.afd.observe(flow_id)
         self.allocator.note_load(core, occupancy, t_ns)
-
-    #: :meth:`batch_commit_span` really is batch-native (bulk AFD
-    #: counter merges + a masked last-busy reduction), so the span
-    #: driver may prefer it over its own ``batch_commit`` replay
-    commit_vectorized = True
 
     def batch_commit_span(self, flow_id, flow_hash, core, occ, t_ns) -> None:
         """Vectorized :meth:`batch_commit` for one committed span.

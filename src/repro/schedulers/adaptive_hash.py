@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import units
+from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, register_scheduler
 
 __all__ = ["AdaptiveHashScheduler"]
@@ -46,17 +47,17 @@ class AdaptiveHashScheduler(Scheduler):
     ) -> None:
         super().__init__()
         if buckets_per_core <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"buckets_per_core must be positive, got {buckets_per_core}"
             )
         if rebalance_every_ns <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"rebalance_every_ns must be positive, got {rebalance_every_ns}"
             )
         if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
+            raise ConfigError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         if max_moves_per_round < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"max_moves_per_round must be >= 1, got {max_moves_per_round}"
             )
         self.buckets_per_core = buckets_per_core
@@ -93,9 +94,7 @@ class AdaptiveHashScheduler(Scheduler):
                 self._next_rebalance_ns += self.rebalance_every_ns
         return self._bucket_to_core[bucket]
 
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
+    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
         """Vectorized map lookup for the span up to (excluding) the
         first arrival that would trigger a rebalance.
 
@@ -126,10 +125,6 @@ class AdaptiveHashScheduler(Scheduler):
         the packet's bucket (the rebalance trigger can't fire inside a
         planned span, so only the increment is replicated)."""
         self._bucket_count[flow_hash % len(self._bucket_to_core)] += 1
-
-    #: the bincount span commit below is batch-native, not a scalar
-    #: replay — let the span driver use it
-    commit_vectorized = True
 
     def batch_commit_span(self, flow_id, flow_hash, core, occ, t_ns) -> None:
         """Vectorized :meth:`batch_commit`: one bincount for the whole

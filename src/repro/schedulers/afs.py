@@ -23,9 +23,8 @@ buckets on every arrival.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import units
+from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, register_scheduler
 
 __all__ = ["AFSScheduler"]
@@ -35,11 +34,6 @@ __all__ = ["AFSScheduler"]
 class AFSScheduler(Scheduler):
     """Global bucket hash + arbitrary-bucket migration on overload."""
 
-    #: planned entries are pure bucket-map lookups; all occupancy logic
-    #: (imbalance counting, the shift) hides behind batch_guard, so
-    #: spans may be drained batched — a guard trip truncates the span
-    batch_static = True
-
     def __init__(
         self,
         buckets_per_core: int = 16,
@@ -48,18 +42,15 @@ class AFSScheduler(Scheduler):
     ) -> None:
         super().__init__()
         if buckets_per_core <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"buckets_per_core must be positive, got {buckets_per_core}"
             )
         if high_threshold <= 0:
-            raise ValueError(f"high_threshold must be positive, got {high_threshold}")
+            raise ConfigError(f"high_threshold must be positive, got {high_threshold}")
         if cooldown_ns < 0:
-            raise ValueError(f"cooldown_ns must be >= 0, got {cooldown_ns}")
+            raise ConfigError(f"cooldown_ns must be >= 0, got {cooldown_ns}")
         self.buckets_per_core = buckets_per_core
         self.high_threshold = high_threshold
-        #: batch entries are only valid below the overload threshold —
-        #: at or above it select_core runs its migration machinery
-        self.batch_guard = high_threshold
         self.cooldown_ns = cooldown_ns
         self._bucket_to_core: list[int] = []
         self._last_migration_ns = -(1 << 62)
@@ -69,7 +60,7 @@ class AFSScheduler(Scheduler):
     def bind(self, loads) -> None:
         super().bind(loads)
         if self.high_threshold > loads.queue_capacity:
-            raise ValueError(
+            raise ConfigError(
                 f"high_threshold {self.high_threshold} exceeds queue capacity "
                 f"{loads.queue_capacity}"
             )
@@ -98,18 +89,8 @@ class AFSScheduler(Scheduler):
                     self._bucket_to_core[bucket] = minq
                     self._last_migration_ns = t_ns
                     self.bucket_migrations += 1
-                    self.map_epoch += 1
                     return minq
         return target
-
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
-        # pure bucket-map lookup; everything occupancy-dependent
-        # (imbalance accounting, cooldown, the shift itself) lives
-        # behind batch_guard and runs through scalar select_core
-        b2c = np.asarray(self._bucket_to_core, dtype=np.int64)
-        return b2c[flow_hash % len(b2c)]
 
     def stats(self) -> dict[str, float]:
         return {

@@ -51,12 +51,12 @@ class Scheduler(ABC):
     **Map-epoch protocol** (the vectorized fast path): ``map_epoch`` is
     a monotone counter that the scheduler bumps on *every* mutation of
     whatever tables :meth:`assign_batch` reads — map-table grow/shrink,
-    migration-table insert/evict/prune, bucket shift, rebalance, core
-    donation, ``core_down``/``core_up`` reactions, and :meth:`bind`
-    itself.  The kernel precomputes a ``core_of`` column from
-    :meth:`assign_batch` and keeps consuming it only while ``map_epoch``
-    is unchanged; any bump invalidates the column and the remaining
-    suffix is recomputed.  A scheduler that never implements
+    migration-table insert/evict/prune, rebalance, core donation,
+    ``core_down``/``core_up`` reactions, and :meth:`bind` itself.  The
+    kernel precomputes a ``core_of`` column from :meth:`assign_batch`
+    and keeps consuming it only while ``map_epoch`` is unchanged; any
+    bump invalidates the column and the remaining suffix is
+    recomputed.  A scheduler that never implements
     :meth:`assign_batch` can ignore the counter entirely — the kernel
     falls back to per-packet :meth:`select_core`.
     """
@@ -86,9 +86,14 @@ class Scheduler(ABC):
     #: exact while ``map_epoch`` holds, whatever completions happen in
     #: between.  This is the entry ticket to the batched span drain
     #: (:mod:`repro.sim.events.span`): the kernel only attempts a drain
-    #: when the scheduler sets this ``True``.  Policies whose
-    #: ``select_core`` reads occupancies or timers (flowlet, sprinklers,
-    #: fcfs, topk) must leave it ``False``.
+    #: when the scheduler sets this ``True`` (hash-static, rss-static,
+    #: adaptive-hash, laps).  Sprinklers keeps a column-only plan: the
+    #: arrival loop consumes its column, but it never enters the drain.
+    #: Schedulers without a plan (fcfs, topk, afs, flow-director,
+    #: flowlet) run ``select_core`` on both paths.  A batch-static
+    #: scheduler that sets :attr:`batch_commit` must also set
+    #: :attr:`batch_commit_span` — the span driver calls only the span
+    #: form.
     batch_static: bool = False
 
     #: Vectorized sibling of :attr:`batch_commit`:
@@ -99,22 +104,9 @@ class Scheduler(ABC):
     #: bump ``map_epoch`` (a committed span is already dispatched;
     #: invalidating it retroactively is a contract violation).
     #: ``occ_arr`` holds the per-packet guard readings when
-    #: :attr:`batch_guard` is set, else ``-1``.  ``None`` means the
-    #: span driver synthesises the span commit itself by replaying
-    #: :attr:`batch_commit` element-by-element over the committed
-    #: arrays; schedulers with neither hook need no span support at
-    #: all.
+    #: :attr:`batch_guard` is set, else ``-1``.  ``None`` when the
+    #: scheduler has no per-packet bookkeeping to commit.
     batch_commit_span: Callable[..., None] | None = None
-
-    #: Declares that :attr:`batch_commit_span` is genuinely batch-native
-    #: (array arithmetic / bulk counter merges) rather than a scalar
-    #: replay loop.  Purely informational for the span driver's phase
-    #: accounting and the benchmark report — the bit never changes
-    #: results, only which commit implementation the driver prefers:
-    #: when ``False`` the driver ignores ``batch_commit_span`` and
-    #: replays ``batch_commit`` itself, so a scheduler cannot silently
-    #: ship a scalar loop dressed up as a vectorized commit.
-    commit_vectorized: bool = False
 
     def __init__(self) -> None:
         self._loads: LoadView | None = None
@@ -166,22 +158,11 @@ class Scheduler(ABC):
     ) -> int:
         """Target core for one packet (must be in ``[0, num_cores)``)."""
 
-    def assign_batch(
-        self,
-        flow_hash,
-        service_id,
-        flow_id,
-        arrival_ns,
-        start_index: int = 0,
-    ):
+    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
         """Vectorized core assignment for a span of future arrivals.
 
         Arguments are aligned numpy column slices (``flow_hash`` and
-        ``flow_id`` int64, ``service_id`` int32, ``arrival_ns`` int64)
-        and *start_index* is the global packet index of element 0 —
-        schedulers that keep global bookkeeping (e.g. adaptive-hash's
-        already-committed-counts watermark) key on it so replanning an
-        overlapping span stays idempotent.
+        ``flow_id`` int64, ``service_id`` int32, ``arrival_ns`` int64).
 
         Returns an int array of planned cores, or ``None`` when no fast
         path exists (the base implementation).  The contract:
@@ -196,8 +177,8 @@ class Scheduler(ABC):
           ``batch_guard`` is set — the target's queue occupancy at
           dispatch is below the guard;
         * planning itself must be idempotent: calling this twice over
-          overlapping spans (same ``start_index`` semantics) must leave
-          the scheduler in the same state as calling it once.
+          overlapping spans must leave the scheduler in the same state
+          as calling it once.
         """
         return None
 

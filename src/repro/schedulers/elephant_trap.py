@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.lfu import LFUCache
+from repro.errors import ConfigError
 from repro.util.rng import make_rng
 
 __all__ = ["ElephantTrap"]
@@ -37,9 +38,9 @@ class ElephantTrap:
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if entries <= 0:
-            raise ValueError(f"entries must be positive, got {entries}")
+            raise ConfigError(f"entries must be positive, got {entries}")
         if not 0.0 < admit_prob <= 1.0:
-            raise ValueError(f"admit_prob must be in (0, 1], got {admit_prob}")
+            raise ConfigError(f"admit_prob must be in (0, 1], got {admit_prob}")
         self.cache = LFUCache(entries)
         self.admit_prob = admit_prob
         self._rng = make_rng(rng)

@@ -21,8 +21,7 @@ flows, which then rebind wherever the load happens to be.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, register_scheduler
 
 __all__ = ["FlowDirectorScheduler"]
@@ -32,14 +31,6 @@ __all__ = ["FlowDirectorScheduler"]
 class FlowDirectorScheduler(Scheduler):
     """Exact-match flow table + immediate rebind on target overload."""
 
-    #: planned entries are pure table lookups (unknown flows map to the
-    #: -1 sentinel, rebinds hide behind batch_guard): span-drainable
-    batch_static = True
-
-    #: plan at most this many arrivals ahead (rebinds bump ``map_epoch``
-    #: and throw the planned suffix away, so bound the wasted work)
-    _BATCH_SPAN = 8192
-
     def __init__(
         self,
         table_entries: int = 8192,
@@ -47,16 +38,13 @@ class FlowDirectorScheduler(Scheduler):
     ) -> None:
         super().__init__()
         if table_entries <= 0:
-            raise ValueError(f"table_entries must be positive, got {table_entries}")
+            raise ConfigError(f"table_entries must be positive, got {table_entries}")
         if rebind_threshold <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"rebind_threshold must be positive, got {rebind_threshold}"
             )
         self.table_entries = table_entries
         self.rebind_threshold = rebind_threshold
-        #: planned entries are only trusted below the rebind threshold;
-        #: at or above it the scalar path runs the rebind machinery
-        self.batch_guard = rebind_threshold
         #: flow id -> core, insertion-ordered (FIFO eviction)
         self._table: dict[int, int] = {}
         self.flows_bound = 0
@@ -66,7 +54,7 @@ class FlowDirectorScheduler(Scheduler):
     def bind(self, loads) -> None:
         super().bind(loads)
         if self.rebind_threshold > loads.queue_capacity:
-            raise ValueError(
+            raise ConfigError(
                 f"rebind_threshold {self.rebind_threshold} exceeds queue "
                 f"capacity {loads.queue_capacity}"
             )
@@ -87,16 +75,11 @@ class FlowDirectorScheduler(Scheduler):
             # first packet: bind to the least-loaded core right now
             core = self._min_queue_core(range(self.loads.num_cores))
             if len(table) >= self.table_entries:
-                # FIFO eviction: the victim's planned entries (if any)
-                # are stale, so the column must be invalidated
+                # FIFO eviction: the oldest binding is forgotten
                 del table[next(iter(table))]
                 self.evictions += 1
-                self.map_epoch += 1
             table[flow_id] = core
             self.flows_bound += 1
-            # no epoch bump: a plan maps unknown flows to -1, and this
-            # packet (plus any other of the flow's packets in the span)
-            # already runs scalar through that sentinel
             return core
         if self.loads.occupancy(core) >= self.rebind_threshold:
             # ATR resample: follow the load, ignore in-flight packets
@@ -104,34 +87,8 @@ class FlowDirectorScheduler(Scheduler):
             if dest != core and self.loads.occupancy(dest) < self.rebind_threshold:
                 table[flow_id] = dest
                 self.rebinds += 1
-                self.map_epoch += 1
                 return dest
         return core
-
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
-        """Vectorized exact-match lookup: bound flows get their pinned
-        core, unknown flows get ``-1`` (the scalar path binds them).
-        Rebinding is occupancy-dependent and lives entirely behind
-        ``batch_guard``, so the plan itself is a pure lookup.
-        """
-        n = len(flow_id)
-        if n > self._BATCH_SPAN:
-            n = self._BATCH_SPAN
-        table = self._table
-        if not table:
-            return np.full(n, -1, dtype=np.int64)
-        keys = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-        vals = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-        order = np.argsort(keys)
-        keys = keys[order]
-        vals = vals[order]
-        fids = flow_id[:n]
-        pos = np.searchsorted(keys, fids)
-        pos[pos == len(keys)] = len(keys) - 1
-        hit = keys[pos] == fids
-        return np.where(hit, vals[pos], np.int64(-1))
 
     def stats(self) -> dict[str, float]:
         return {

@@ -23,9 +23,8 @@ very next packet instead of black-holing until a gap.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import units
+from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, register_scheduler
 
 __all__ = ["FlowletScheduler"]
@@ -35,14 +34,10 @@ __all__ = ["FlowletScheduler"]
 class FlowletScheduler(Scheduler):
     """Join-shortest-queue at flowlet boundaries, sticky in between."""
 
-    #: bound per plan: flowlet boundaries bump ``map_epoch`` when the
-    #: re-pick actually moves the flow, discarding the planned suffix
-    _BATCH_SPAN = 8192
-
     def __init__(self, gap_ns: int = units.us(50)) -> None:
         super().__init__()
         if gap_ns <= 0:
-            raise ValueError(f"gap_ns must be positive, got {gap_ns}")
+            raise ConfigError(f"gap_ns must be positive, got {gap_ns}")
         self.gap_ns = gap_ns
         self._core: dict[int, int] = {}
         self._last_ns: dict[int, int] = {}
@@ -71,73 +66,8 @@ class FlowletScheduler(Scheduler):
         self.flowlets += 1
         if core is not None and dest != core:
             self.switches += 1
-            # the flow's remaining planned entries carry the old core
-            self.map_epoch += 1
         self._core[flow_id] = dest
         return dest
-
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
-        """Plan the sticky stretches, sentinel the boundaries.
-
-        For every packet the flowlet gap test is decidable at plan time
-        from the arrival column alone: the gap is against the previous
-        same-flow arrival *in the span*, or against the committed
-        ``last_ns`` state for the flow's first span packet.  Mid-burst
-        packets map to the flow's bound core (pure lookup); boundary
-        packets and unbound flows map to ``-1`` — the scalar path runs
-        the re-pick there and bumps ``map_epoch`` if the binding moved,
-        which invalidates the (now stale) planned suffix.  Entries
-        *after* a boundary stay conditionally planned on purpose: when
-        the re-pick keeps the flow where it was (the common case under
-        balanced load), no epoch bump occurs and the suffix stays live.
-        """
-        n = len(flow_id)
-        if n > self._BATCH_SPAN:
-            n = self._BATCH_SPAN
-        fids = flow_id[:n]
-        arr = arrival_ns[:n]
-        order = np.argsort(fids, kind="stable")
-        sf = fids[order]
-        sa = arr[order]
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = sf[1:] != sf[:-1]
-        run_starts = np.nonzero(new_run)[0]
-        core_get = self._core.get
-        last_get = self._last_ns.get
-        start_flows = sf[run_starts].tolist()
-        bound0 = np.fromiter(
-            (core_get(f, -1) for f in start_flows),
-            dtype=np.int64,
-            count=len(start_flows),
-        )
-        last0 = np.fromiter(
-            (last_get(f, 0) for f in start_flows),
-            dtype=np.int64,
-            count=len(start_flows),
-        )
-        run_of = np.cumsum(new_run) - 1
-        prev = np.empty(n, dtype=np.int64)
-        prev[run_starts] = last0
-        if n > 1:
-            inner = ~new_run
-            inner_idx = np.nonzero(inner)[0]
-            prev[inner_idx] = sa[inner_idx - 1]
-        bound = bound0[run_of]
-        sticky = (bound >= 0) & (sa - prev < self.gap_ns)
-        out_sorted = np.where(sticky, bound, np.int64(-1))
-        out = np.empty(n, dtype=np.int64)
-        out[order] = out_sorted
-        return out
-
-    def batch_commit(
-        self, flow_id: int, flow_hash: int, core: int, occupancy: int, t_ns: int
-    ) -> None:
-        """The unconditional per-packet work of ``select_core`` on the
-        sticky path: refresh the flow's last-seen clock."""
-        self._last_ns[flow_id] = t_ns
 
     def on_core_down(self, core_id: int, t_ns: int) -> None:
         """Evict every binding onto the dead core: each flow re-picks
@@ -146,9 +76,7 @@ class FlowletScheduler(Scheduler):
         victims = [f for f, c in self._core.items() if c == core_id]
         for f in victims:
             del self._core[f]
-        if victims:
-            self.fault_evictions += len(victims)
-            self.map_epoch += 1
+        self.fault_evictions += len(victims)
 
     def stats(self) -> dict[str, float]:
         return {

@@ -26,9 +26,7 @@ class StaticHashScheduler(Scheduler):
     ) -> int:
         return flow_hash % self.loads.num_cores
 
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
+    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
         # the map is the modulus itself: pure, side-effect free, and
         # never mutated, so map_epoch never bumps after bind and one
         # plan covers a whole window

@@ -23,6 +23,7 @@ import heapq
 from collections import defaultdict
 
 from repro.core.migration import MigrationTable
+from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, register_scheduler
 
 __all__ = ["ExactTopKDetector", "TopKMigrationScheduler"]
@@ -45,11 +46,11 @@ class ExactTopKDetector:
         suppress_for: int = 16384,
     ) -> None:
         if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+            raise ConfigError(f"k must be >= 0, got {k}")
         if refresh_every <= 0:
-            raise ValueError(f"refresh_every must be positive, got {refresh_every}")
+            raise ConfigError(f"refresh_every must be positive, got {refresh_every}")
         if suppress_for < 0:
-            raise ValueError(f"suppress_for must be >= 0, got {suppress_for}")
+            raise ConfigError(f"suppress_for must be >= 0, got {suppress_for}")
         self.k = k
         self.refresh_every = refresh_every
         #: observations a flow stays non-aggressive after invalidation —
@@ -114,9 +115,9 @@ class TopKMigrationScheduler(Scheduler):
     ) -> None:
         super().__init__()
         if high_threshold <= 0:
-            raise ValueError(f"high_threshold must be positive, got {high_threshold}")
+            raise ConfigError(f"high_threshold must be positive, got {high_threshold}")
         if pin_weight < 0:
-            raise ValueError(f"pin_weight must be >= 0, got {pin_weight}")
+            raise ConfigError(f"pin_weight must be >= 0, got {pin_weight}")
         self.detector = detector if detector is not None else ExactTopKDetector(k)
         self.high_threshold = high_threshold
         self.pin_weight = pin_weight
@@ -127,7 +128,7 @@ class TopKMigrationScheduler(Scheduler):
     def bind(self, loads) -> None:
         super().bind(loads)
         if self.high_threshold > loads.queue_capacity:
-            raise ValueError(
+            raise ConfigError(
                 f"high_threshold {self.high_threshold} exceeds queue capacity "
                 f"{loads.queue_capacity}"
             )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.hashing.toeplitz import ToeplitzHasher
 from repro.schedulers.base import Scheduler, register_scheduler
 
@@ -48,7 +49,7 @@ class RSSStaticScheduler(Scheduler):
     ) -> None:
         super().__init__()
         if indirection_entries <= 0 or indirection_entries & (indirection_entries - 1):
-            raise ValueError(
+            raise ConfigError(
                 f"indirection_entries must be a positive power of two, "
                 f"got {indirection_entries}"
             )
@@ -86,9 +87,7 @@ class RSSStaticScheduler(Scheduler):
     ) -> int:
         return int(self._table[self._bucket(flow_id)])
 
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
+    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
         # the table is never mutated after bind, so map_epoch never
         # bumps and one plan covers a whole window (same contract as
         # hash-static, different hash)

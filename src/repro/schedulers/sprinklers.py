@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, register_scheduler
 
 __all__ = ["SprinklersScheduler"]
@@ -44,13 +45,13 @@ class SprinklersScheduler(Scheduler):
     ) -> None:
         super().__init__()
         if stripe_chunk <= 0:
-            raise ValueError(f"stripe_chunk must be positive, got {stripe_chunk}")
+            raise ConfigError(f"stripe_chunk must be positive, got {stripe_chunk}")
         if width_threshold <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"width_threshold must be positive, got {width_threshold}"
             )
         if max_width <= 0 or max_width & (max_width - 1):
-            raise ValueError(
+            raise ConfigError(
                 f"max_width must be a positive power of two, got {max_width}"
             )
         self.stripe_chunk = stripe_chunk
@@ -103,9 +104,7 @@ class SprinklersScheduler(Scheduler):
         self._advance(flow_id)
         return core
 
-    def assign_batch(
-        self, flow_hash, service_id, flow_id, arrival_ns, start_index: int = 0
-    ):
+    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
         """Vectorized striping over the span.
 
         The per-packet position within each flow is reconstructed as

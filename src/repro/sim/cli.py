@@ -24,10 +24,12 @@ resilience columns to the comparison.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
+from repro.errors import ReproError
 from repro.obs import RunManifest, TelemetryProbe, write_run
 from repro.net.classifier import default_edge_rules
 from repro.net.service import Service, ServiceSet, default_services
@@ -374,7 +376,11 @@ def main(argv: list[str] | None = None) -> int:
     cmp_p.set_defaults(func=_cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

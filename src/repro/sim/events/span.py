@@ -142,14 +142,9 @@ class SpanDriver:
         cfg = k.config
         sched = k.scheduler
 
-        # the kernel attempts spans only for batch_static schedulers
-        batch_commit = sched.batch_commit
-        commit_span = getattr(sched, "batch_commit_span", None)
-        if not getattr(sched, "commit_vectorized", False):
-            # an unvectorized batch_commit_span buys nothing over the
-            # driver's own replay loop below — ignore it so a scalar
-            # loop can't masquerade as a batch-native commit
-            commit_span = None
+        # the kernel attempts spans only for batch_static schedulers,
+        # whose per-packet bookkeeping (if any) has a span form
+        commit_span = sched.batch_commit_span
         if st.killed_pkts or k.injector is not None:
             return li
         bus = k.bus
@@ -625,7 +620,7 @@ class SpanDriver:
         )
 
         # -- scheduler per-packet bookkeeping --------------------------
-        if batch_commit is not None:
+        if commit_span is not None:
             if guard is not None:
                 occs = np.empty(S, dtype=np.int64)
                 for c in range(n_cores):
@@ -639,26 +634,13 @@ class SpanDriver:
                         )
             else:
                 occs = np.full(S, -1, dtype=np.int64)
-            if commit_span is not None:
-                commit_span(
-                    win.flow_id[li : li + S],
-                    win.flow_hash[li : li + S],
-                    cores[:S],
-                    occs,
-                    arr_span[:S],
-                )
-            else:
-                # generic fallback: replay the per-packet hook in
-                # arrival order (exactly what a scalar
-                # ``batch_commit_span`` would do)
-                for f, h, cc, o, t in zip(
-                    win.flow_id[li : li + S].tolist(),
-                    win.flow_hash[li : li + S].tolist(),
-                    cores[:S].tolist(),
-                    occs.tolist(),
-                    arr_span[:S].tolist(),
-                ):
-                    batch_commit(f, h, cc, o, t)
+            commit_span(
+                win.flow_id[li : li + S],
+                win.flow_hash[li : li + S],
+                cores[:S],
+                occs,
+                arr_span[:S],
+            )
 
         self.commit_ns += time.perf_counter_ns() - t_commit0
         self.spans_committed += 1

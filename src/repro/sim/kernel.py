@@ -489,7 +489,6 @@ class SimKernel:
             win.service_id[li:hi],
             win.flow_id[li:hi],
             win.arrival_ns[li:hi],
-            win.base + li,
         )
         if out is None:
             self._col = []

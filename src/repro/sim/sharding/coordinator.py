@@ -172,10 +172,9 @@ def _select_mode(scheduler) -> str:
         "cores mode needs a statically partitionable assignment "
         "(shard_static), services mode needs the configure_shard "
         "window/mailbox protocol (LAPS).  Schedulers whose decisions "
-        "read global load (fcfs, flowlet, sprinklers, adaptive-hash) "
-        "or fall back to global occupancy behind a batch guard (afs, "
-        "flow-director) cannot be partitioned without changing their "
-        "results — run them single-process."
+        "read global load (fcfs, afs, flow-director, flowlet, "
+        "sprinklers, adaptive-hash) cannot be partitioned without "
+        "changing their results — run them single-process."
     )
 
 

@@ -155,7 +155,6 @@ class CorePartitionSource(_FilteredSource):
             planned = sched.assign_batch(
                 chunk.flow_hash[pos:], chunk.service_id[pos:],
                 chunk.flow_id[pos:], chunk.arrival_ns[pos:],
-                start_index=chunk.base + pos,
             )
             if (
                 planned is None

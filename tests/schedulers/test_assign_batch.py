@@ -16,6 +16,10 @@ Two layers of pinning for the vectorized fast path:
   materialized vs streamed sources at several chunk sizes, fault
   schedules, and mid-run checkpoint/resume in either direction
   (a vectorized checkpoint resumed scalar and vice versa).
+
+Both layers run over every registered scheduler, plan or not, so a
+plan added later joins them automatically.  The plan budget at the end
+runs over the schedulers that have a plan.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import pytest
 
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
+from repro.experiments import tournament
 from repro.faults.events import (
     CoreFail,
     CoreRecover,
@@ -63,6 +68,19 @@ def _make(name: str) -> Scheduler:
     if name == "laps":
         return LAPSScheduler(LAPSConfig(num_services=2), rng=3)
     return make_scheduler(name)
+
+
+def _has_plan(name: str) -> bool:
+    return type(_make(name)).assign_batch is not Scheduler.assign_batch
+
+
+#: every registered scheduler: the vectorized flag must never change a
+#: report, whether or not the scheduler has a plan
+KERNEL_SCHEDULERS = available_schedulers()
+
+#: the registered schedulers with a plan (a class-level
+#: ``assign_batch``); each must keep its plan cheap
+PLAN_SCHEDULERS = [name for name in KERNEL_SCHEDULERS if _has_plan(name)]
 
 
 def _sequence(n: int = 3000, seed: int = 11):
@@ -122,7 +140,7 @@ def _run_batched(sched, loads, cols, script):
         if i in script:
             script[i](sched, loads, t)
         if sched.map_epoch != epoch or (i >= ch and i > plan_li):
-            out = sched.assign_batch(fh[i:], sid[i:], fid[i:], arr[i:], i)
+            out = sched.assign_batch(fh[i:], sid[i:], fid[i:], arr[i:])
             col = [] if out is None else out.tolist()
             cl = plan_li = i
             ch = i + len(col)
@@ -145,7 +163,7 @@ def _run_batched(sched, loads, cols, script):
     return chosen
 
 
-@pytest.mark.parametrize("name", available_schedulers())
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
 def test_batched_consumption_matches_scalar(name):
     cols = _sequence()
     scalar, batched = _make(name), _make(name)
@@ -159,7 +177,7 @@ def test_batched_consumption_matches_scalar(name):
     assert scalar.stats() == batched.stats()
 
 
-@pytest.mark.parametrize("name", available_schedulers())
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
 def test_epoch_bumps_on_bind(name):
     sched = _make(name)
     before = sched.map_epoch
@@ -172,32 +190,38 @@ def test_base_assign_batch_is_none():
     sched = _make("fcfs")
     sched.bind(MutableLoads())
     if type(sched).assign_batch is Scheduler.assign_batch:
-        assert sched.assign_batch(fh, sid, fid, arr, 0) is None
+        assert sched.assign_batch(fh, sid, fid, arr) is None
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "hash-static", "afs", "adaptive-hash", "laps",
-        "rss-static", "flow-director", "sprinklers", "flowlet",
-    ],
-)
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
 def test_planning_is_idempotent(name):
     """Planning twice over overlapping spans must not change state
-    (the kernel replans the same suffix after every epoch bump)."""
+    (the kernel replans the same suffix after every epoch bump).  A
+    scheduler without a plan returns ``None`` both times."""
     fh, sid, fid, arr = _sequence(512)
     a, b = _make(name), _make(name)
     a.bind(MutableLoads())
     b.bind(MutableLoads())
-    if type(a).assign_batch is Scheduler.assign_batch:
-        pytest.skip(f"{name} has no batch path")
-    once = a.assign_batch(fh, sid, fid, arr, 0)
-    b.assign_batch(fh, sid, fid, arr, 0)
-    twice = b.assign_batch(fh, sid, fid, arr, 0)
-    assert once is not None and twice is not None
-    np.testing.assert_array_equal(once, twice)
+    once = a.assign_batch(fh, sid, fid, arr)
+    b.assign_batch(fh, sid, fid, arr)
+    twice = b.assign_batch(fh, sid, fid, arr)
+    assert (once is None) == (twice is None) == (not _has_plan(name))
+    if once is not None:
+        np.testing.assert_array_equal(once, twice)
     assert a.stats() == b.stats()
     assert a.map_epoch == b.map_epoch
+
+
+def test_span_drainable_commits_have_a_span_form():
+    """The span driver commits through ``batch_commit_span`` only, so a
+    batch-static scheduler with per-packet bookkeeping must have one."""
+    committing = []
+    for name in KERNEL_SCHEDULERS:
+        sched = _make(name)
+        if sched.batch_static and sched.batch_commit is not None:
+            committing.append(name)
+            assert sched.batch_commit_span is not None, name
+    assert committing  # laps and adaptive-hash at least
 
 
 class TestLapsPinOverlayCache:
@@ -216,7 +240,7 @@ class TestLapsPinOverlayCache:
         fh = fid * 7 + 1
         sid = np.zeros(n, dtype=np.int64)
         arr = np.arange(n, dtype=np.int64)
-        return sched.assign_batch(fh, sid, fid, arr, 0)
+        return sched.assign_batch(fh, sid, fid, arr)
 
     def test_snapshot_reused_while_epoch_holds(self):
         sched = self._bound_laps()
@@ -273,14 +297,6 @@ class TestLapsPinOverlayCache:
 # ----------------------------------------------------------------------
 # kernel-level bit-identity
 # ----------------------------------------------------------------------
-
-KERNEL_SCHEDULERS = [
-    "hash-static", "afs", "adaptive-hash", "laps",
-    # the zoo (PR 6): every new scheduler rides the same epoch/batch
-    # contract, so it gets the full kernel-level bit-identity battery
-    "rss-static", "flow-director", "sprinklers", "flowlet",
-]
-
 
 def _two_service_inputs(packets=3_000):
     traces = [
@@ -407,3 +423,54 @@ def test_cross_mode_checkpoint_resume(name, vec_first):
     # and the fault-free report differs (the schedule really did bite),
     # guarding against a vacuous comparison above
     assert base != expected or base.fault_events == 0
+
+
+# ----------------------------------------------------------------------
+# plan budget
+# ----------------------------------------------------------------------
+
+#: planned rows allowed per generated packet.  Every ``map_epoch`` bump
+#: replans the suffix, so a scheduler that bumps the epoch on routine
+#: decisions throws away most of what it plans.  LAPS, the busiest
+#: plan that earns its place, peaks at ~8.5 rows per packet here.
+PLAN_ROW_BUDGET = 16
+
+_QUICK_CELL_NS = units.ms(2)
+
+
+@pytest.fixture(scope="module")
+def quick_cells():
+    """The tournament's G1 cells at half load, 2 ms, one per fault
+    schedule."""
+    return [
+        (fault, tournament._zoo_workload(
+            "G1", 0.5, _QUICK_CELL_NS, 12_000, seed=0, fault=fault,
+        ))
+        for fault in tournament.FAULT_NAMES
+    ]
+
+
+@pytest.mark.parametrize("name", PLAN_SCHEDULERS)
+def test_plan_rows_within_budget(name, quick_cells):
+    for fault, wl in quick_cells:
+        sched = tournament._zoo_scheduler(name)
+        plan = sched.assign_batch
+        rows = 0
+
+        def counted(*args):
+            nonlocal rows
+            out = plan(*args)
+            if out is not None:
+                rows += len(out)
+            return out
+
+        sched.assign_batch = counted
+        injector = (
+            None if fault == "none"
+            else tournament._zoo_injector(fault, _QUICK_CELL_NS)
+        )
+        report = simulate(wl, sched, tournament._zoo_config(), injector=injector)
+        assert rows <= PLAN_ROW_BUDGET * report.generated, (
+            f"{name} planned {rows} rows for {report.generated} packets "
+            f"on the {fault!r} cell"
+        )

@@ -109,11 +109,9 @@ class TestFlowDirector:
         sched, loads = self.make(rebind_threshold=8)
         core = sched.select_core(1, 0, 0, 0)
         loads.occ[core] = 8
-        epoch = sched.map_epoch
         dest = sched.select_core(1, 0, 0, 1)
         assert dest != core
         assert sched.rebinds == 1
-        assert sched.map_epoch == epoch + 1  # planned entries go stale
         # and it keeps following the load, flapping back if asked
         loads.occ[dest] = 9
         loads.occ[core] = 0
@@ -131,30 +129,13 @@ class TestFlowDirector:
         sched, loads = self.make(table_entries=2)
         sched.select_core(1, 0, 0, 0)
         sched.select_core(2, 0, 0, 1)
-        epoch = sched.map_epoch
         sched.select_core(3, 0, 0, 2)  # evicts flow 1
         assert sched.evictions == 1
-        assert sched.map_epoch == epoch + 1
         assert len(sched) == 2
         # flow 1 is rebound as if brand new
         loads.occ[:] = [9, 0, 9, 9]
         assert sched.select_core(1, 0, 0, 3) == 1
         assert sched.flows_bound == 4
-
-    def test_batch_plans_bound_flows_only(self):
-        sched, loads = self.make()
-        loads.occ[:] = [2, 0, 1, 3]
-        core1 = sched.select_core(10, 0, 0, 0)
-        zeros = np.zeros(4, dtype=np.int64)
-        flow_id = np.array([10, 99, 10, 98], dtype=np.int64)
-        planned = sched.assign_batch(zeros, zeros, flow_id, zeros)
-        assert planned.tolist() == [core1, -1, core1, -1]
-
-    def test_guard_covers_rebind_machinery(self):
-        # planned entries are only trusted under the rebind threshold —
-        # the scalar path owns every occupancy above it
-        sched, _ = self.make(rebind_threshold=12)
-        assert sched.batch_guard == 12
 
 
 class TestSprinklers:
@@ -261,21 +242,17 @@ class TestFlowlet:
         sched, loads = self.make()
         core = sched.select_core(1, 0, 0, 0)
         loads.occ[core] = 30  # overload mid-burst: flowlet stays put
-        epoch = sched.map_epoch
         for dt in range(1, 10):
             assert sched.select_core(1, 0, 0, dt * (self.GAP // 20)) == core
         assert sched.switches == 0
-        assert sched.map_epoch == epoch
 
     def test_switches_only_at_idle_gap(self):
         sched, loads = self.make()
         core = sched.select_core(1, 0, 0, 0)
         loads.occ[core] = 30
-        epoch = sched.map_epoch
         dest = sched.select_core(1, 0, 0, self.GAP)  # gap reached
         assert dest != core
         assert sched.switches == 1
-        assert sched.map_epoch == epoch + 1
 
     def test_gap_resets_with_every_packet(self):
         """The gap is idle time, not flowlet age: a continuous trickle
@@ -292,36 +269,18 @@ class TestFlowlet:
     def test_gap_without_better_core_stays_put(self):
         sched, loads = self.make()
         core = sched.select_core(1, 0, 0, 0)
-        epoch = sched.map_epoch
         # boundary crossed but the bound core is still the least loaded:
-        # re-pick lands on the same core, no switch, no epoch bump
+        # re-pick lands on the same core, no switch
         assert sched.select_core(1, 0, 0, self.GAP * 2) == core
         assert sched.flowlets == 2
         assert sched.switches == 0
-        assert sched.map_epoch == epoch
 
     def test_core_down_evicts_bindings_immediately(self):
         sched, loads = self.make()
         loads.occ[:] = [0, 9, 9, 9]
         assert sched.select_core(1, 0, 0, 0) == 0
-        epoch = sched.map_epoch
         sched.on_core_down(0, 10)
         assert sched.fault_evictions == 1
-        assert sched.map_epoch == epoch + 1
         # next packet re-picks mid-burst instead of black-holing
         loads.occ[:] = [32, 9, 0, 9]
         assert sched.select_core(1, 0, 0, 20) == 2
-
-    def test_batch_plans_sticky_stretch_and_sentinels_boundary(self):
-        sched, loads = self.make()
-        loads.occ[:] = [0, 9, 9, 9]
-        core = sched.select_core(1, 0, 0, 0)
-        zeros = np.zeros(4, dtype=np.int64)
-        flow_id = np.array([1, 1, 1, 2], dtype=np.int64)
-        arrivals = np.array(
-            [10, 20, self.GAP * 3, 30], dtype=np.int64
-        )
-        planned = sched.assign_batch(zeros, zeros, flow_id, arrivals)
-        # packets 0-1 are mid-burst (sticky); packet 2 crosses the gap
-        # (boundary -> scalar); flow 2 is unbound (-> scalar)
-        assert planned.tolist() == [core, core, -1, -1]

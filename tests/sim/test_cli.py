@@ -54,6 +54,17 @@ class TestCompare:
         with pytest.raises(SystemExit):
             main(["compare", "--schedulers", "bogus"])
 
+    def test_config_error_exits_2_without_traceback(self, capsys):
+        # afs's overload threshold (24) does not fit a 16-deep queue
+        rc = main([
+            "compare", "--packets", "2000", "--duration-ms", "1",
+            "--cores", "2", "--queue-depth", "16", "--schedulers", "afs",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: high_threshold 24 exceeds queue capacity 16" in err
+        assert "Traceback" not in err
+
 
 class TestSharded:
     def test_sharded_row_matches_single_process(self, capsys):

@@ -233,8 +233,9 @@ class TestRejections:
             run_sharded(workload, make_scheduler("fcfs"), config, shards=2)
 
     def test_guarded_static_scheduler_rejected(self, workload, config):
-        # afs routes statically until its guard trips, then consults
-        # global occupancy — not partitionable without changing results
+        # afs routes by a static bucket map until a queue overloads,
+        # then consults global occupancy — not partitionable without
+        # changing results
         with pytest.raises(SimulationError, match="neither sharding mode"):
             run_sharded(workload, make_scheduler("afs"), config, shards=2)
 
