@@ -99,9 +99,7 @@ def test_laps_decision(benchmark):
     class Loads:
         num_cores = 16
         queue_capacity = 32
-
-        def occupancy(self, core_id):
-            return 3
+        occ = [3] * 16
 
     sched = LAPSScheduler(LAPSConfig(num_services=4), rng=0)
     sched.bind(Loads())
@@ -132,17 +130,21 @@ def _event_loop_inputs():
     return wl, cfg
 
 
-def test_simulator_event_loop(benchmark):
+@pytest.mark.parametrize("name", ["hash-static", "fcfs"])
+def test_simulator_event_loop(benchmark, name):
     """End-to-end simulated packets per second of wall time.
 
     Telemetry disabled (``probe=None``) — this is the number the < 5%
     overhead budget of the observability layer is judged against.
+    ``hash-static`` runs the span drain; ``fcfs`` has no plan, so it
+    guards the scalar decision path (one join-shortest-queue read of
+    the load list per packet) against the same floor.
     """
     wl, cfg = _event_loop_inputs()
 
     def run():
         t0 = time.perf_counter()
-        report = simulate(wl, make_scheduler("hash-static"), cfg)
+        report = simulate(wl, make_scheduler(name), cfg)
         return report, time.perf_counter() - t0
 
     report, elapsed = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -103,16 +103,7 @@ class LAPSScheduler(Scheduler):
         self.migration = MigrationTable(self.config.migration_table_entries)
         self.allocator: CoreAllocator | None = None
         self.map_tables: dict[int, ServiceMapTable] = {}
-        # counters
-        self.imbalance_events = 0
-        self.migrations_installed = 0
-        self.core_requests = 0
-        self.core_requests_denied = 0
-        self.stale_migrations_dropped = 0
-        self.cores_failed = 0
-        self.cores_recovered = 0
-        self.emergency_transfers = 0
-        self.unrecovered_failures = 0
+        self._zero_counters()
         #: preset core ownership for a service-partitioned shard (global
         #: core ids; ``-1`` marks cores owned by other shards), set by
         #: :meth:`configure_shard`; ``None`` on single-process runs
@@ -174,9 +165,21 @@ class LAPSScheduler(Scheduler):
             sid: ServiceMapTable(sid, cores)
             for sid, cores in self.allocator.initial_allocation().items()
         }
-        self.migration.clear()
+        self.migration.reset()
         self.afd.reset()
         self._shard_denials.clear()
+        self._zero_counters()
+
+    def _zero_counters(self) -> None:
+        self.imbalance_events = 0
+        self.migrations_installed = 0
+        self.core_requests = 0
+        self.core_requests_denied = 0
+        self.stale_migrations_dropped = 0
+        self.cores_failed = 0
+        self.cores_recovered = 0
+        self.emergency_transfers = 0
+        self.unrecovered_failures = 0
 
     # ------------------------------------------------------------------
     def select_core(
@@ -193,10 +196,11 @@ class LAPSScheduler(Scheduler):
         # step 1): a migrated flow stays pinned.  Re-balancing it on
         # every overload would hot-potato elephants between cores,
         # paying the FM penalty and reordering on every hop.
+        occ = self._loads.occ
         pinned = self.migration.lookup(flow_id)
         if pinned is not None:
             if allocator.owner_of(pinned) == service_id:
-                allocator.note_load(pinned, self.loads.occupancy(pinned), t_ns)
+                allocator.note_load(pinned, occ[pinned], t_ns)
                 return pinned
             # the pinned core was donated away: entry is stale
             self.migration.remove(flow_id)
@@ -205,13 +209,14 @@ class LAPSScheduler(Scheduler):
 
         # 2. default hash lookup
         target = table.lookup(flow_hash)
-        allocator.note_load(target, self.loads.occupancy(target), t_ns)
+        load = occ[target]
+        allocator.note_load(target, load, t_ns)
 
         # 3. load-balancing path (Listing 1)
-        if self.loads.occupancy(target) >= cfg.high_threshold:
+        if load >= cfg.high_threshold:
             self.imbalance_events += 1
             minq_core = self._min_queue_core(table.cores)
-            if self.loads.occupancy(minq_core) < cfg.high_threshold:
+            if occ[minq_core] < cfg.high_threshold:
                 if self.afd.is_aggressive(flow_id):
                     dest = self._placement_target(table.cores, cfg.high_threshold)
                     if dest is not None and dest != target:
@@ -315,15 +320,15 @@ class LAPSScheduler(Scheduler):
         placement dumps several elephants onto the same core during one
         overload burst and the pins then keep them there.
         """
-        loads = self.loads
+        occ = self.loads.occ
         pin_weight = self.config.pin_weight
         best = None
         best_score = None
         for c in cores:
-            occ = loads.occupancy(c)
-            if occ >= high_threshold:
+            load = occ[c]
+            if load >= high_threshold:
                 continue
-            score = occ + pin_weight * self.migration.pins_on(c)
+            score = load + pin_weight * self.migration.pins_on(c)
             if best_score is None or score < best_score:
                 best, best_score = c, score
         return best

@@ -131,3 +131,9 @@ class MigrationTable:
             self.epoch += 1
         self._entries.clear()
         self._per_core.clear()
+
+    def reset(self) -> None:
+        """Clear the entries and the statistics (``epoch`` stays
+        monotone, so cached snapshots still invalidate)."""
+        self.clear()
+        self.insertions = self.evictions = 0

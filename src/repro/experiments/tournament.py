@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
+from repro.errors import ConfigError, ReproError
 from repro.experiments.batch import RunSpec, WorkloadSpec, run_batch
 from repro.experiments.params import TRACE_GROUPS
 from repro.experiments.runner import ExperimentResult
@@ -47,7 +49,7 @@ from repro.faults.events import (
 )
 from repro.faults.injector import FaultInjector, apply_traffic_events
 from repro.net.service import default_services
-from repro.schedulers.base import Scheduler, make_scheduler
+from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
 from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
 from repro.sim.metrics import SimReport
@@ -226,6 +228,14 @@ def _scorecard(runs: list[dict]) -> list[dict[str, Any]]:
     ]
 
 
+def _check_choices(kind: str, given: tuple[str, ...], valid) -> None:
+    for value in given:
+        if value not in valid:
+            raise ConfigError(
+                f"unknown {kind} {value!r}; choose from {', '.join(valid)}"
+            )
+
+
 def run_tournament(
     schedulers: tuple[str, ...] = DEFAULT_SCHEDULERS,
     groups: tuple[str, ...] = DEFAULT_GROUPS,
@@ -248,7 +258,13 @@ def run_tournament(
     and the scorecard is unchanged.  Schedulers whose
     sharded results would differ (everything non-``shard_static``,
     including LAPS' windowed services mode) stay single-process.
+
+    Unknown scheduler, scenario or fault names raise
+    :class:`~repro.errors.ConfigError` before anything is built.
     """
+    _check_choices("scheduler", schedulers, available_schedulers())
+    _check_choices("scenario", groups, sorted(TRACE_GROUPS))
+    _check_choices("fault schedule", faults, FAULT_NAMES)
     if quick:
         if groups == DEFAULT_GROUPS:  # keep explicit --scenarios intact
             groups = groups[:1]
@@ -258,8 +274,6 @@ def run_tournament(
         duration_ns = units.ms(6) if quick else units.ms(20)
     if trace_packets is None:
         trace_packets = 12_000 if quick else 40_000
-    for fault in faults:
-        _fault_events(fault, duration_ns)  # fail fast on unknown names
     num_services = len(default_services())
     shardable: dict[str, bool] = {}
     if shards is not None and shards > 1:
@@ -501,17 +515,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    payload = run_tournament(
-        schedulers=args.schedulers,
-        groups=args.scenarios,
-        faults=args.faults,
-        utilisations=args.utilisations,
-        seeds=args.seeds,
-        quick=args.quick,
-        jobs=args.jobs,
-        shards=args.shards,
-        shard_workers=args.shard_workers,
-    )
+    try:
+        payload = run_tournament(
+            schedulers=args.schedulers,
+            groups=args.scenarios,
+            faults=args.faults,
+            utilisations=args.utilisations,
+            seeds=args.seeds,
+            quick=args.quick,
+            jobs=args.jobs,
+            shards=args.shards,
+            shard_workers=args.shard_workers,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     validate_scorecard(payload)
     out = Path(args.json)
     out.write_text(json.dumps(payload, indent=2) + "\n")

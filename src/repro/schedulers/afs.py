@@ -80,11 +80,12 @@ class AFSScheduler(Scheduler):
     ) -> int:
         bucket = flow_hash % len(self._bucket_to_core)
         target = self._bucket_to_core[bucket]
-        if self.loads.occupancy(target) >= self.high_threshold:
+        occ = self.loads.occ
+        if occ[target] >= self.high_threshold:
             self.imbalance_events += 1
             if t_ns - self._last_migration_ns >= self.cooldown_ns:
-                minq = self._min_queue_core(range(self.loads.num_cores))
-                if minq != target and self.loads.occupancy(minq) < self.high_threshold:
+                minq = self._min_queue_core()
+                if minq != target and occ[minq] < self.high_threshold:
                     # shift the whole bucket -- every flow in it migrates
                     self._bucket_to_core[bucket] = minq
                     self._last_migration_ns = t_ns

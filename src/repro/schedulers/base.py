@@ -29,15 +29,20 @@ __all__ = [
 
 
 class LoadView(Protocol):
-    """Read-only view of per-core input-queue occupancy."""
+    """Read-only view of per-core input-queue occupancy.
 
-    @property
-    def num_cores(self) -> int: ...
+    ``occ[c]`` is core c's input-queue length, or ``queue_capacity``
+    while core c is down, so a policy that never heard about a failure
+    still sees the dead core as full.  The view keeps the list exact
+    and mutates it in place.  Schedulers only read it, through the
+    view they are bound to (``self.loads.occ``), and never store it in
+    their own state: a checkpoint rebuilds the list on resume, so a
+    stored reference would go stale.
+    """
 
-    @property
-    def queue_capacity(self) -> int: ...
-
-    def occupancy(self, core_id: int) -> int: ...
+    num_cores: int
+    queue_capacity: int
+    occ: list[int]
 
 
 class Scheduler(ABC):
@@ -230,15 +235,14 @@ class Scheduler(ABC):
         return {}
 
     # helpers shared by several policies ------------------------------
-    def _min_queue_core(self, cores) -> int:
-        """The least-loaded core of *cores* (lowest id wins ties)."""
-        loads = self.loads
-        best = None
-        best_occ = None
-        for c in cores:
-            occ = loads.occupancy(c)
-            if best_occ is None or occ < best_occ:
-                best, best_occ = c, occ
+    def _min_queue_core(self, cores=None) -> int:
+        """``findMinQ``: the least-loaded core of *cores*, or of all
+        cores when *cores* is None.  Ties go to the first minimum in
+        *cores*' iteration order (the lowest id over all cores)."""
+        occ = self.loads.occ
+        if cores is None:
+            return occ.index(min(occ))
+        best = min(cores, key=occ.__getitem__, default=None)
         if best is None:
             raise SchedulerError("empty core set")
         return best

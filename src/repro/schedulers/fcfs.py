@@ -26,20 +26,19 @@ class FCFSScheduler(Scheduler):
         super().__init__()
         self._rr = 0  # rotate tie-breaks so core 0 is not favoured
 
+    def bind(self, loads) -> None:
+        super().bind(loads)
+        self._rr = 0
+
     def select_core(
         self, flow_id: int, service_id: int, flow_hash: int, t_ns: int
     ) -> int:
-        loads = self.loads
-        n = loads.num_cores
+        occ = self.loads.occ
         start = self._rr
-        self._rr = (self._rr + 1) % n
-        best = -1
-        best_occ = None
-        for off in range(n):
-            c = (start + off) % n
-            occ = loads.occupancy(c)
-            if best_occ is None or occ < best_occ:
-                best, best_occ = c, occ
-                if occ == 0:
-                    break
-        return best
+        self._rr = start + 1 if start + 1 < len(occ) else 0
+        # the first least-loaded core at or after ``start``, wrapping
+        m = min(occ)
+        try:
+            return occ.index(m, start)
+        except ValueError:
+            return occ.index(m)

@@ -73,7 +73,7 @@ class FlowDirectorScheduler(Scheduler):
         core = table.get(flow_id)
         if core is None:
             # first packet: bind to the least-loaded core right now
-            core = self._min_queue_core(range(self.loads.num_cores))
+            core = self._min_queue_core()
             if len(table) >= self.table_entries:
                 # FIFO eviction: the oldest binding is forgotten
                 del table[next(iter(table))]
@@ -81,10 +81,11 @@ class FlowDirectorScheduler(Scheduler):
             table[flow_id] = core
             self.flows_bound += 1
             return core
-        if self.loads.occupancy(core) >= self.rebind_threshold:
+        occ = self.loads.occ
+        if occ[core] >= self.rebind_threshold:
             # ATR resample: follow the load, ignore in-flight packets
-            dest = self._min_queue_core(range(self.loads.num_cores))
-            if dest != core and self.loads.occupancy(dest) < self.rebind_threshold:
+            dest = self._min_queue_core()
+            if dest != core and occ[dest] < self.rebind_threshold:
                 table[flow_id] = dest
                 self.rebinds += 1
                 return dest

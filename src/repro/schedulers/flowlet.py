@@ -62,7 +62,7 @@ class FlowletScheduler(Scheduler):
         if core is not None and t_ns - last < self.gap_ns:
             return core  # mid-burst: sticky, no queue consulted
         # flowlet boundary (or brand-new flow): re-pick least-loaded
-        dest = self._min_queue_core(range(self.loads.num_cores))
+        dest = self._min_queue_core()
         self.flowlets += 1
         if core is not None and dest != core:
             self.switches += 1

@@ -100,6 +100,14 @@ class ExactTopKDetector:
     def top_flows(self) -> list[int]:
         return sorted(self._top)
 
+    def reset(self) -> None:
+        """Forget every count, the top set and all suppressions."""
+        self._counts.clear()
+        self._top = set()
+        self._observed = 0
+        self._since_refresh = 0
+        self._suppressed_until.clear()
+
 
 @register_scheduler("topk")
 class TopKMigrationScheduler(Scheduler):
@@ -132,7 +140,10 @@ class TopKMigrationScheduler(Scheduler):
                 f"high_threshold {self.high_threshold} exceeds queue capacity "
                 f"{loads.queue_capacity}"
             )
-        self.migration.clear()
+        self.migration.reset()
+        self.detector.reset()
+        self.imbalance_events = 0
+        self.migrations_installed = 0
 
     def select_core(
         self, flow_id: int, service_id: int, flow_hash: int, t_ns: int
@@ -141,12 +152,13 @@ class TopKMigrationScheduler(Scheduler):
         pinned = self.migration.lookup(flow_id)
         if pinned is not None:
             return pinned
-        target = flow_hash % self.loads.num_cores
-        if self.loads.occupancy(target) >= self.high_threshold:
+        occ = self.loads.occ
+        target = flow_hash % len(occ)
+        if occ[target] >= self.high_threshold:
             self.imbalance_events += 1
-            minq = self._min_queue_core(range(self.loads.num_cores))
+            minq = self._min_queue_core()
             if (
-                self.loads.occupancy(minq) < self.high_threshold
+                occ[minq] < self.high_threshold
                 and self.detector.is_aggressive(flow_id)
             ):
                 dest = self._placement_target(target)
@@ -161,14 +173,12 @@ class TopKMigrationScheduler(Scheduler):
         """Least-loaded core, penalising cores already holding pins
         (same placement refinement as LAPS: a core that received an
         elephant microseconds ago has a lagging queue)."""
-        loads = self.loads
         best = None
         best_score = None
-        for c in range(loads.num_cores):
-            occ = loads.occupancy(c)
-            if occ >= self.high_threshold:
+        for c, load in enumerate(self.loads.occ):
+            if load >= self.high_threshold:
                 continue
-            score = occ + self.pin_weight * self.migration.pins_on(c)
+            score = load + self.pin_weight * self.migration.pins_on(c)
             if best_score is None or score < best_score:
                 best, best_score = c, score
         return best

@@ -573,6 +573,7 @@ class SpanDriver:
             flow_last_core[f] = c
 
         # -- core / queue / event state --------------------------------
+        occ = queues.occ  # no queue is down inside a span
         new_entries = []
         for c in range(n_cores):
             info = ends[c]
@@ -593,6 +594,7 @@ class SpanDriver:
             if tail > head:
                 qrows = np.asarray(r[6][head:tail], dtype=np.int64)
                 items.extend((base + lrow[qrows]).tolist())
+            occ[c] = len(items)
             if out[10] > q.peak:
                 q.peak = out[10]
             last_service[c] = out[12]

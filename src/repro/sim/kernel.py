@@ -579,10 +579,12 @@ class SimKernel:
         dispatch_timed = self.bus.dispatcher("timed_event") or _no_timed_handler
         on_depart = reorder.on_depart
         busy_ns = metrics.busy_ns_per_core
-        # per-core FIFO deques, hoisted past QueueBank.__getitem__ and
-        # BoundedQueue.take/is_empty (the deques are mutated in place
-        # for a bank's whole lifetime, so the bindings stay valid)
+        # per-core FIFO deques and the bank's occ list, hoisted past
+        # QueueBank.__getitem__ and BoundedQueue.take/is_empty (both
+        # are mutated in place for a bank's whole lifetime, so the
+        # bindings stay valid)
         q_items = [q._items for q in queues]
+        occ = queues.occ
 
         # the closures inline heappush/heappop on the raw heap list
         # with the queue's bookkeeping batched in locals
@@ -658,7 +660,8 @@ class SimKernel:
                 if record_dep:
                     departures.append((flow_item(li), seq_item(li), t_done))
                 qi = q_items[core]
-                if qi:
+                if qi:  # a core holding queued work is up
+                    occ[core] -= 1
                     start_packet(core, qi.popleft(), t_done)
                 else:
                     core_busy[core] = False
@@ -741,6 +744,11 @@ class SimKernel:
         gen_per_service = metrics.generated_per_service
         drop_per_service = metrics.dropped_per_service
         qs = [queues[c] for c in range(n_cores)]
+        # the enqueue below is BoundedQueue.offer inlined: occ[core] is
+        # the queue length while up and cap while down, so one test
+        # covers full and down (see repro.sim.queues)
+        q_items = [q._items for q in qs]
+        occ = queues.occ
         ev_heap = st.events.heap  # mutated in place; identity is stable
         batch_on = self._batch_on
         # the span drain commits only static plans: skip the attempts
@@ -847,15 +855,14 @@ class SimKernel:
                                 # scalar path (e.g. stale pin pruning)
                                 core = sel(flow_seg[k], sid, hash_seg[k], t)
                             elif guard is not None:
-                                q = qs[core]
-                                occ = cap if q.down else len(q)
-                                if occ >= guard:
+                                load = occ[core]
+                                if load >= guard:
                                     # overloaded target: the planned
                                     # entry is invalid, run the real
                                     # balancer
                                     core = sel(flow_seg[k], sid, hash_seg[k], t)
                                 elif commit is not None:
-                                    commit(flow_seg[k], hash_seg[k], core, occ, t)
+                                    commit(flow_seg[k], hash_seg[k], core, load, t)
                             elif commit is not None:
                                 commit(flow_seg[k], hash_seg[k], core, -1, t)
                         else:
@@ -867,10 +874,20 @@ class SimKernel:
                             f"{sched.name} returned core {core} of {n_cores}"
                         )
                     if core_busy[core]:
-                        q = qs[core]
-                        if q.is_empty and on_queue_busy is not None:
+                        qi = q_items[core]
+                        if not qi and on_queue_busy is not None:
                             on_queue_busy(core, t)
-                        if not q.offer(base + li):
+                        n = occ[core]
+                        if n < cap:
+                            qi.append(base + li)
+                            n += 1
+                            occ[core] = n
+                            q = qs[core]
+                            if n > q.peak:
+                                q.peak = n
+                        else:
+                            q = qs[core]
+                            q.drops += 1
                             metrics.dropped += 1
                             drop_per_service[sid] += 1
                             if q.down:  # black-holed: the target core is dead

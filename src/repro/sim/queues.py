@@ -4,15 +4,27 @@ Each core owns a FIFO of packet descriptors bounded at
 ``queue_capacity`` (32 in the paper, after Ohlendorf et al.); "a packet
 is lost when it is assigned to a queue which is already full"
 (Sec. IV-C2).  :class:`QueueBank` also implements the scheduler-facing
-:class:`~repro.schedulers.base.LoadView` protocol.
+:class:`~repro.schedulers.base.LoadView` protocol: its ``occ`` list
+holds every core's load, so a load-aware decision reads a list entry
+instead of calling into the queue.
 
 A queue can be taken **down** (its core failed — see
-:mod:`repro.faults`): a down queue refuses every ``offer`` and reports
-its occupancy as the full capacity through the :class:`LoadView`.  That
-models the backpressure a dead core's never-draining descriptor ring
-asserts in hardware — load-aware schedulers that never heard about the
-failure still steer away from it because it looks permanently full,
-while its real FIFO stays empty.
+:mod:`repro.faults`): a down queue refuses every ``offer`` and its
+``occ`` entry reads as the full capacity.  That models the backpressure
+a dead core's never-draining descriptor ring asserts in hardware —
+load-aware schedulers that never heard about the failure still steer
+away from it because it looks permanently full, while its real FIFO
+stays empty.
+
+The ``occ`` contract: ``occ[c]`` equals ``queue_capacity`` while core
+c is down and ``len(bank[c])`` otherwise, at every point a scheduler
+or sampler can observe.  ``BoundedQueue.offer/take/drain/clear`` and
+``QueueBank.mark_down/mark_up`` write through to it; the kernel's
+inlined enqueue/dequeue and the span commit's queue rebuild update it
+alongside the deques they touch.  The list is created once per bank
+and mutated in place, never rebound, so hot loops may bind it.  It is
+derived state: a pickled bank carries only its queues and rebuilds the
+list on unpickle.
 """
 
 from __future__ import annotations
@@ -25,9 +37,14 @@ __all__ = ["BoundedQueue", "QueueBank"]
 
 
 class BoundedQueue:
-    """A FIFO of packet indices with a hard capacity."""
+    """A FIFO of packet indices with a hard capacity.
 
-    __slots__ = ("capacity", "_items", "drops", "peak", "down")
+    A queue of a :class:`QueueBank` writes its load through to the
+    bank's ``occ`` list; a standalone queue keeps a private one-entry
+    list.
+    """
+
+    __slots__ = ("capacity", "_items", "drops", "peak", "down", "_occ", "_idx")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -38,9 +55,32 @@ class BoundedQueue:
         self.peak = 0
         #: the owning core is dead; offers are refused (see module doc)
         self.down = False
+        self._occ = [0]
+        self._idx = 0
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __getstate__(self):
+        # the occ link is derived: the owning bank re-links on unpickle
+        return None, {
+            "capacity": self.capacity,
+            "_items": self._items,
+            "drops": self.drops,
+            "peak": self.peak,
+            "down": self.down,
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._occ = [0]
+        self._idx = 0
+        self._sync()
+
+    def _sync(self) -> None:
+        """Write this queue's load to its ``occ`` entry."""
+        self._occ[self._idx] = self.capacity if self.down else len(self._items)
 
     @property
     def is_full(self) -> bool:
@@ -52,17 +92,22 @@ class BoundedQueue:
 
     def offer(self, item: int) -> bool:
         """Enqueue *item*; False (and a drop) when full or down."""
-        if self.down or len(self._items) >= self.capacity:
+        items = self._items
+        if self.down or len(items) >= self.capacity:
             self.drops += 1
             return False
-        self._items.append(item)
-        if len(self._items) > self.peak:
-            self.peak = len(self._items)
+        items.append(item)
+        n = len(items)
+        self._occ[self._idx] = n
+        if n > self.peak:
+            self.peak = n
         return True
 
     def take(self) -> int:
         """Dequeue the oldest item (raises IndexError when empty)."""
-        return self._items.popleft()
+        item = self._items.popleft()
+        self._sync()
+        return item
 
     def min_item(self) -> int | None:
         """Smallest queued packet index, or None when empty (window
@@ -73,23 +118,43 @@ class BoundedQueue:
     def drain(self) -> list[int]:
         """Remove and return all queued items, oldest first."""
         items = list(self._items)
-        self._items.clear()
+        self.clear()
         return items
 
     def clear(self) -> None:
         self._items.clear()
+        self._sync()
 
 
 class QueueBank:
     """All cores' input queues; satisfies the ``LoadView`` protocol."""
 
-    __slots__ = ("_queues", "_capacity")
+    __slots__ = ("_queues", "_capacity", "occ")
 
     def __init__(self, num_cores: int, queue_capacity: int) -> None:
         if num_cores <= 0:
             raise ConfigError(f"need at least one core, got {num_cores}")
         self._queues = [BoundedQueue(queue_capacity) for _ in range(num_cores)]
         self._capacity = queue_capacity
+        self._link()
+
+    def _link(self) -> None:
+        """Create ``occ`` and point every queue's write-through at it."""
+        #: per-core load: queue length, or the capacity while down
+        self.occ = [0] * len(self._queues)
+        for c, q in enumerate(self._queues):
+            q._occ = self.occ
+            q._idx = c
+            q._sync()
+
+    def __getstate__(self):
+        return None, {"_queues": self._queues, "_capacity": self._capacity}
+
+    def __setstate__(self, state) -> None:
+        slots = state[1]
+        self._queues = slots["_queues"]
+        self._capacity = slots["_capacity"]
+        self._link()
 
     # LoadView protocol -------------------------------------------------
     @property
@@ -100,18 +165,18 @@ class QueueBank:
     def queue_capacity(self) -> int:
         return self._capacity
 
-    def occupancy(self, core_id: int) -> int:
-        q = self._queues[core_id]
-        return self._capacity if q.down else len(q)
-
     # core health (driven by repro.faults) -------------------------------
     def mark_down(self, core_id: int) -> None:
         """The core died: refuse offers, report the queue as full."""
-        self._queues[core_id].down = True
+        q = self._queues[core_id]
+        q.down = True
+        q._sync()
 
     def mark_up(self, core_id: int) -> None:
         """The core recovered: accept offers again."""
-        self._queues[core_id].down = False
+        q = self._queues[core_id]
+        q.down = False
+        q._sync()
 
     def is_down(self, core_id: int) -> bool:
         return self._queues[core_id].down
@@ -132,5 +197,5 @@ class QueueBank:
 
     def occupancies(self) -> list[int]:
         """Raw FIFO depths per core (a down core reads 0 here; the
-        ``LoadView`` :meth:`occupancy` is what reports it as full)."""
+        ``LoadView`` list :attr:`occ` is what reports it as full)."""
         return [len(q) for q in self._queues]

@@ -32,23 +32,13 @@ __all__ = ["CorePartitionSource", "ServiceFilterSource"]
 
 class _PlanView:
     """An all-idle :class:`~repro.schedulers.base.LoadView` for the
-    planning copy of a scheduler (occupancy never read by a static
+    planning copy of a scheduler (``occ`` is never read by a static
     plan, but bind() wants a complete view)."""
 
     def __init__(self, num_cores: int, queue_capacity: int) -> None:
-        self._num_cores = num_cores
-        self._queue_capacity = queue_capacity
-
-    @property
-    def num_cores(self) -> int:
-        return self._num_cores
-
-    @property
-    def queue_capacity(self) -> int:
-        return self._queue_capacity
-
-    def occupancy(self, core_id: int) -> int:
-        return 0
+        self.num_cores = num_cores
+        self.queue_capacity = queue_capacity
+        self.occ = [0] * num_cores
 
 
 class _FilteredSource(PacketSource):

@@ -23,9 +23,6 @@ class FakeLoads:
     def queue_capacity(self):
         return self._cap
 
-    def occupancy(self, core_id):
-        return self.occ[core_id]
-
 
 def make_laps(num_cores=8, num_services=2, **cfg_kw):
     cfg_kw.setdefault("afd", AFDConfig(promote_threshold=2))

@@ -19,6 +19,7 @@ from repro.experiments.tournament import (
     run_tournament,
     validate_scorecard,
 )
+from repro.schedulers.base import available_schedulers
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -54,6 +55,31 @@ class TestGrid:
     def test_unknown_fault_rejected_before_running(self):
         with pytest.raises(ValueError):
             run_tournament(faults=("meteor",), quick=True)
+
+
+class TestCLIErrors:
+    """Bad grid arguments exit 2 with one ``error:`` line naming the
+    valid choices, before any workload is built or JSON written."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--schedulers", "nope",
+         "unknown scheduler 'nope'; choose from "
+         + ", ".join(available_schedulers())),
+        ("--faults", "none,bogus",
+         "unknown fault schedule 'bogus'; choose from "
+         "none, core-loss, flap, slowdown-surge"),
+        ("--scenarios", "G9",
+         "unknown scenario 'G9'; choose from G1, G2, G3, G4, W1"),
+    ])
+    def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "t.json"
+        rc = tournament.main(["--quick", flag, value, "--json", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestScorecard:

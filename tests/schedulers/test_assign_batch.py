@@ -60,9 +60,6 @@ class MutableLoads:
         self.queue_capacity = queue_capacity
         self.occ = [0] * num_cores
 
-    def occupancy(self, core_id: int) -> int:
-        return self.occ[core_id]
-
 
 def _make(name: str) -> Scheduler:
     if name == "laps":
@@ -150,7 +147,7 @@ def _run_batched(sched, loads, cols, script):
             if core < 0:
                 core = sched.select_core(int(fid[i]), int(sid[i]), int(fh[i]), t)
             elif guard is not None:
-                occ = loads.occupancy(core)
+                occ = loads.occ[core]
                 if occ >= guard:
                     core = sched.select_core(int(fid[i]), int(sid[i]), int(fh[i]), t)
                 elif commit is not None:

@@ -1,9 +1,13 @@
 """Tests for the scheduler interface and registry."""
 
+from functools import lru_cache
+
 import pytest
 
 import repro.schedulers  # noqa: F401  (registers everything)
+from repro import units
 from repro.errors import SchedulerError
+from repro.experiments import tournament
 from repro.schedulers.base import (
     Scheduler,
     available_schedulers,
@@ -24,8 +28,13 @@ class FakeLoads:
     def queue_capacity(self):
         return 32
 
-    def occupancy(self, core_id):
-        return self.occ[core_id]
+
+@lru_cache(maxsize=None)
+def _faulted_cell():
+    """One small faulted G1 zoo cell: (workload, injector factory)."""
+    duration = units.ms(1)
+    workload = tournament._zoo_workload("G1", 0.8, duration, 3_000, 0, "core-loss")
+    return workload, lambda: tournament._zoo_injector("core-loss", duration)
 
 
 class TestRegistry:
@@ -83,3 +92,21 @@ class TestBindLifecycle:
 
     def test_default_stats_empty(self):
         assert make_scheduler("fcfs").stats() == {}
+
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_rebind_resets_to_a_fresh_instance(self, name):
+        """``bind`` resets the scheduler onto a fresh system: a second
+        run with a reused instance reports what a fresh one does
+        (FCFS's rotation, top-k's detector and LAPS's counters used to
+        leak across runs)."""
+        from repro.sim.system import simulate
+
+        workload, injector = _faulted_cell()
+        cfg = tournament._zoo_config()
+
+        def run(sched):
+            return simulate(workload, sched, cfg, injector=injector())
+
+        reused = tournament._zoo_scheduler(name)
+        run(reused)
+        assert run(reused) == run(tournament._zoo_scheduler(name))

@@ -1,5 +1,7 @@
 """Tests for bounded queues and the queue bank."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError
@@ -54,13 +56,30 @@ class TestQueueBank:
         bank = QueueBank(4, 32)
         assert bank.num_cores == 4
         assert bank.queue_capacity == 32
-        assert bank.occupancy(0) == 0
+        assert bank.occ == [0, 0, 0, 0]
 
     def test_occupancy_tracks_queue(self):
         bank = QueueBank(2, 8)
         bank[1].offer(7)
-        assert bank.occupancy(1) == 1
+        assert bank.occ == [0, 1]
         assert bank.occupancies() == [0, 1]
+
+    def test_down_core_reads_full_and_pickle_relinks(self):
+        bank = QueueBank(2, 4)
+        occ = bank.occ
+        bank[0].offer(1)
+        bank[0].offer(2)
+        assert bank[0].drain() == [1, 2]
+        bank.mark_down(0)
+        assert not bank[0].offer(3)
+        assert occ == [4, 0]
+        assert bank.occupancies() == [0, 0]
+        back = pickle.loads(pickle.dumps(bank))
+        assert back.occ == [4, 0]
+        back.mark_up(0)
+        back[1].offer(5)
+        assert back.occ == [0, 1]
+        assert bank.occ is occ and occ == [4, 0]
 
     def test_total_drops(self):
         bank = QueueBank(2, 1)
