@@ -342,19 +342,3 @@ def test_simulator_event_loop_with_telemetry(benchmark):
 
     report = benchmark.pedantic(run, rounds=3, iterations=1)
     assert report.generated == wl.num_packets
-
-
-def test_simulator_profile_hooks(capsys):
-    """Wall-clock profile of one run: packets/sec, events popped,
-    scheduler time share (printed so bench runs surface the numbers)."""
-    from repro.obs import profile_run
-    from repro.sim.system import NetworkProcessorSim
-
-    wl, cfg = _event_loop_inputs()
-    sim = NetworkProcessorSim(cfg, make_scheduler("hash-static"), wl)
-    report, prof = profile_run(sim)
-    assert prof.packets == report.generated
-    assert prof.events_popped == report.departed
-    assert 0.0 <= prof.sched_share <= 1.0
-    with capsys.disabled():
-        print(f"\n[profile] {prof.summary()}")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Queue dynamics over time: watching the load balancer work.
 
-Attaches a :class:`repro.QueueProbe` to two runs — static hash (no
-balancing) vs LAPS — and prints the per-core queue *imbalance*
+Attaches a :class:`repro.TelemetryProbe` (queue-occupancy + progress
+samplers) to two runs — static hash (no balancing) vs LAPS — and prints the per-core queue *imbalance*
 (max−min occupancy) and drop rate over time.  Static hash shows a
 persistent spread (the elephant cores pinned at the queue limit while
 others idle); LAPS collapses the spread shortly after the AFD warms up.
@@ -20,10 +20,10 @@ from repro import (
     HoltWintersParams,
     LAPSConfig,
     LAPSScheduler,
-    QueueProbe,
     Service,
     ServiceSet,
     SimConfig,
+    TelemetryProbe,
     build_workload,
     make_scheduler,
     preset_trace,
@@ -31,7 +31,15 @@ from repro import (
     simulate,
     units,
 )
+from repro.obs import ProgressSampler, QueueOccupancySampler
 from repro.util.tables import format_table
+
+
+def spread_and_drops(probe: TelemetryProbe) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample max−min queue spread and drops per period."""
+    occ = probe.occupancy_matrix()
+    drops = np.diff(probe.column("dropped"), prepend=0).astype(np.int64)
+    return occ.max(axis=1) - occ.min(axis=1), drops
 
 
 def main() -> None:
@@ -45,24 +53,28 @@ def main() -> None:
     )
 
     period = units.ms(1)
-    probes = {}
+    times = {}
+    series = {}
     for name, sched in (
         ("hash-static", make_scheduler("hash-static")),
         ("laps", LAPSScheduler(LAPSConfig(num_services=1), rng=1)),
     ):
-        probe = QueueProbe(period)
+        probe = TelemetryProbe(period, [QueueOccupancySampler(), ProgressSampler()])
         simulate(workload, sched, config, probe=probe)
-        probes[name] = probe
+        times[name] = probe.times_ns
+        series[name] = spread_and_drops(probe)
 
     rows = []
-    n = min(p.num_samples for p in probes.values())
+    n = min(len(t) for t in times.values())
+    hash_spread, hash_drops = series["hash-static"]
+    laps_spread, laps_drops = series["laps"]
     for i in range(n):
         rows.append([
-            f"{probes['hash-static'].times_ns[i] / 1e6:.0f}",
-            int(probes["hash-static"].imbalance_series()[i]),
-            int(probes["hash-static"].drop_rate_series()[i]),
-            int(probes["laps"].imbalance_series()[i]),
-            int(probes["laps"].drop_rate_series()[i]),
+            f"{times['hash-static'][i] / 1e6:.0f}",
+            int(hash_spread[i]),
+            int(hash_drops[i]),
+            int(laps_spread[i]),
+            int(laps_drops[i]),
         ])
     print(format_table(
         ["t (ms)", "hash spread", "hash drops/ms", "laps spread", "laps drops/ms"],
@@ -71,7 +83,7 @@ def main() -> None:
     ))
 
     mean_spread = {
-        name: float(np.mean(p.imbalance_series())) for name, p in probes.items()
+        name: float(np.mean(spread)) for name, (spread, _) in series.items()
     }
     print(f"\nmean queue spread: hash-static {mean_spread['hash-static']:.1f} "
           f"vs laps {mean_spread['laps']:.1f} descriptors")

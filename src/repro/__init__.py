@@ -5,7 +5,7 @@ Processors: Load Balancing While Minimizing Packet Reordering"
 The package implements the paper's LAPS scheduler (per-service map
 tables over incremental hashing, migration of AFD-detected aggressive
 flows, dynamic core allocation) together with every substrate its
-evaluation depends on: CRC/Toeplitz hashing, a packet/flow/service
+evaluation depends on: CRC/Toeplitz hashing, a service/task-graph
 model, synthetic heavy-tailed traces plus pcap ingest, a discrete-event
 network-processor simulator, the FCFS/AFS/static-hash baselines, and an
 experiment harness regenerating each of the paper's figures.
@@ -42,9 +42,7 @@ from repro.hashing import (
     flow_hash_batch,
 )
 from repro.net import (
-    FlowTable,
     MatchRule,
-    Packet,
     Service,
     ServiceClassifier,
     ServiceSet,
@@ -89,7 +87,6 @@ from repro.sim import (
     MaterializedSource,
     PacketSource,
     PowerModel,
-    QueueProbe,
     RestorationBuffer,
     SimConfig,
     SimReport,
@@ -103,7 +100,6 @@ from repro.obs import (
     RunManifest,
     TelemetryProbe,
     load_run,
-    profile_run,
     write_run,
 )
 from repro.workloads import (
@@ -127,9 +123,9 @@ __all__ = [
     "CRC16_CCITT", "FiveTuple", "ToeplitzHasher", "crc16_ccitt",
     "flow_hash", "flow_hash_batch",
     # net
-    "FlowTable", "MatchRule", "Packet", "Service", "ServiceClassifier",
-    "ServiceSet", "build_edge_router_graph", "default_edge_rules",
-    "default_services", "services_from_graph",
+    "MatchRule", "Service", "ServiceClassifier", "ServiceSet",
+    "build_edge_router_graph", "default_edge_rules", "default_services",
+    "services_from_graph",
     # trace
     "Trace", "concentration", "generate_trace", "native_workload",
     "preset_trace", "rank_size", "SyntheticTraceConfig", "top_k_flows",
@@ -143,11 +139,11 @@ __all__ = [
     "available_schedulers", "make_scheduler",
     # sim
     "HoltWinters", "HoltWintersParams", "MaterializedSource",
-    "PacketSource", "PowerModel", "QueueProbe", "RestorationBuffer",
+    "PacketSource", "PowerModel", "RestorationBuffer",
     "SimConfig", "SimReport", "StreamingSource", "Workload",
     "build_workload", "restoration_cost", "simulate",
     # obs (telemetry)
-    "RunManifest", "TelemetryProbe", "load_run", "profile_run", "write_run",
+    "RunManifest", "TelemetryProbe", "load_run", "write_run",
     # workloads (internet-scale library)
     "SizeDistribution", "MMPPParams", "DiurnalParams", "PcapReplaySource",
     "make_workload", "resolve_trace", "workload_preset_names",

@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.experiments import (
     ablations,
     fig2,
@@ -94,7 +95,15 @@ def main(argv: list[str] | None = None) -> int:
     if json_dir:
         json_dir.mkdir(parents=True, exist_ok=True)
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
+    try:
+        _run(names, args, json_dir, telemetry_dir)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def _run(names, args, json_dir, telemetry_dir) -> None:
     for name in names:
         t0 = time.perf_counter()
         kwargs = dict(stream=args.stream, chunk_size=args.chunk_size)
@@ -118,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             print()
         print(f"[{name} done in {elapsed:.1f}s]", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":

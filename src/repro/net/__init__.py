@@ -1,13 +1,10 @@
-"""Packet/flow/service substrate.
+"""Service substrate.
 
-Models the objects the scheduler reasons about: packet descriptors,
-flows (5-tuple equivalence classes with per-flow statistics), services
-(the processing paths of the Fig. 5 edge-router task graph), and the
-task graph itself.
+Models the services the scheduler steers packets to (the processing
+paths of the Fig. 5 edge-router task graph), the task graph itself, and
+the 5-tuple classifier that maps flows onto services.
 """
 
-from repro.net.packet import Packet
-from repro.net.flow import FlowRecord, FlowTable
 from repro.net.classifier import MatchRule, ServiceClassifier, default_edge_rules
 from repro.net.service import Service, ServiceSet, default_services
 from repro.net.taskgraph import (
@@ -18,9 +15,6 @@ from repro.net.taskgraph import (
 )
 
 __all__ = [
-    "Packet",
-    "FlowRecord",
-    "FlowTable",
     "MatchRule",
     "ServiceClassifier",
     "default_edge_rules",

@@ -1,15 +1,13 @@
-"""Run telemetry: manifests, composable probes, exporters, profiling.
+"""Run telemetry: manifests, composable probes, exporters.
 
-Observability layer for simulation runs.  A run produces three kinds of
-evidence, all disabled by default so the hot loop stays tight:
+Observability layer for simulation runs.  A run produces two kinds of
+evidence, both disabled by default so the hot loop stays tight:
 
 * a :class:`RunManifest` — provenance (seed, config snapshot, package
   version, wall clock, host) that makes any dumped run reproducible;
 * time series from a :class:`TelemetryProbe` — composable samplers
   (queue occupancy, progress counters, scheduler stats, reorder gaps)
-  recorded on a fixed period, *including* the drain phase;
-* a :class:`HotLoopProfile` — wall-clock packets/sec, events popped and
-  scheduler time share measured around the event loop.
+  recorded on a fixed period, *including* the drain phase.
 
 Dumps are plain files (``manifest.json``, ``report.json``,
 ``series.ndjson``) written by :func:`write_run` and read back by
@@ -36,7 +34,6 @@ from repro.obs.probes import (
     TelemetryProbe,
     default_samplers,
 )
-from repro.obs.profile import HotLoopProfile, profile_run
 
 __all__ = [
     "RunManifest",
@@ -56,6 +53,4 @@ __all__ = [
     "write_ndjson",
     "read_ndjson",
     "write_csv",
-    "HotLoopProfile",
-    "profile_run",
 ]

@@ -1,26 +1,27 @@
 """Composable run-telemetry probes.
 
-Generalises :class:`repro.sim.probes.QueueProbe`: a
-:class:`TelemetryProbe` owns a set of :class:`Sampler` objects and, on
-a fixed period, asks each for a row fragment; fragments merge into one
-record per sample time.  The kernel drives the probe through the same
-``maybe_sample(t_ns, queues, metrics)`` hook the legacy probe uses —
+A :class:`TelemetryProbe` owns a set of :class:`Sampler` objects and,
+on a fixed period, asks each for a row fragment; fragments merge into
+one record per sample time.  The kernel drives the probe through its
+``maybe_sample(t_ns, queues, metrics)`` hook —
 :meth:`~repro.sim.kernel.SimKernel.attach_probe` registers it as a
 ``sample`` subscriber on the hook bus and calls
 :meth:`TelemetryProbe.bind` with the running
 :class:`~repro.sim.kernel.SimKernel` (which exposes the sampler view
 protocol: ``queues`` / ``metrics`` / ``scheduler`` / ``reorder`` /
 ``injector``), so samplers can see the scheduler and the reorder
-detector, not just the queues.
+detector, not just the queues.  ``QueueOccupancySampler`` plus
+``ProgressSampler`` record per-core queue depths and the cumulative
+generated/dropped/departed counters.
 
-Period semantics (the part the legacy probe got wrong): at most **one**
-sample is recorded per ``maybe_sample`` call, timestamped with the
-*actual* observation time ``t_ns`` — never a backfill of past period
-boundaries with present state.  When simulated time jumps over several
-boundaries (sparse arrivals), those boundaries are simply absent from
-the series; consumers that need a uniform grid can resample offline
-with explicit carry-forward, which is then *their* stated semantics
-rather than silent misattribution.
+Period semantics: at most **one** sample is recorded per
+``maybe_sample`` call, timestamped with the *actual* observation time
+``t_ns`` — never a backfill of past period boundaries with present
+state.  When simulated time jumps over several boundaries (sparse
+arrivals), those boundaries are simply absent from the series;
+consumers that need a uniform grid can resample offline with explicit
+carry-forward, which is then *their* stated semantics rather than
+silent misattribution.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from repro.sim.events import EventQueue
 from repro.sim.hooks import HookBus, HOOK_EVENTS
 from repro.sim.kernel import Checkpoint, SimKernel, SimState
 from repro.sim.queues import BoundedQueue, QueueBank
-from repro.sim.latency import CoreConfig, LatencyModel, TABLE_III_CORE
+from repro.sim.latency import CoreConfig, TABLE_III_CORE
 from repro.sim.reorder import ReorderDetector
 from repro.sim.metrics import SimMetrics, SimReport
 from repro.sim.generator import ArrivalStream, HoltWinters, HoltWintersParams, arrival_times
@@ -26,10 +26,9 @@ from repro.sim.source import (
     workload_fingerprint,
 )
 from repro.sim.config import SimConfig
-from repro.sim.system import NetworkProcessorSim, simulate
+from repro.sim.system import simulate
 from repro.sim.restoration import RestorationBuffer, RestorationResult, restoration_cost
 from repro.sim.power import PowerModel, PowerReport
-from repro.sim.probes import QueueProbe
 
 __all__ = [
     "EventQueue",
@@ -41,7 +40,6 @@ __all__ = [
     "BoundedQueue",
     "QueueBank",
     "CoreConfig",
-    "LatencyModel",
     "TABLE_III_CORE",
     "ReorderDetector",
     "SimMetrics",
@@ -60,12 +58,10 @@ __all__ = [
     "StreamingSource",
     "workload_fingerprint",
     "SimConfig",
-    "NetworkProcessorSim",
     "simulate",
     "RestorationBuffer",
     "RestorationResult",
     "restoration_cost",
     "PowerModel",
     "PowerReport",
-    "QueueProbe",
 ]

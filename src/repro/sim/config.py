@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from repro import units
 from repro.errors import ConfigError
 from repro.net.service import ServiceSet, default_services
-from repro.sim.latency import LatencyModel
 
 __all__ = ["SimConfig"]
 
@@ -52,10 +51,3 @@ class SimConfig:
             raise ConfigError(f"drain_ns must be >= 0, got {self.drain_ns}")
         if self.fm_penalty_ns < 0 or self.cc_penalty_ns < 0:
             raise ConfigError("penalties must be >= 0")
-
-    def latency_model(self) -> LatencyModel:
-        return LatencyModel(
-            services=self.services,
-            fm_penalty_ns=self.fm_penalty_ns,
-            cc_penalty_ns=self.cc_penalty_ns,
-        )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import SimulationError
 
@@ -105,16 +105,6 @@ class EventQueue:
         self._last_pop_ns = time_ns
         self.popped += 1
         return time_ns, payload
-
-    def pop_until(self, horizon_ns: int) -> Iterator[tuple[int, Any]]:
-        """Yield events with ``time <= horizon_ns`` in order.
-
-        The caller may push new events while iterating (a completion
-        starting the next packet); newly pushed events inside the
-        horizon are yielded too.
-        """
-        while self._heap and self._heap[0][0] <= horizon_ns:
-            yield self.pop()
 
     def clear(self) -> None:
         """Reset to the freshly constructed state.

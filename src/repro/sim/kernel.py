@@ -384,16 +384,14 @@ class SimKernel:
     def attach_probe(self, probe) -> None:
         """Register a periodic sampler on the bus.
 
-        Accepts anything with ``maybe_sample(t_ns, queues, metrics)``
-        (:class:`repro.sim.probes.QueueProbe`,
-        :class:`repro.obs.TelemetryProbe`, ...).  A probe with a
-        ``bind`` method is bound to the kernel so its samplers see the
-        scheduler, reorder detector and injector too.
+        *probe* is a :class:`repro.obs.TelemetryProbe` (or anything with
+        its ``bind`` / ``maybe_sample(t_ns, queues, metrics)`` /
+        ``period_ns`` protocol).  It is bound to the kernel so its
+        samplers see the scheduler, reorder detector and injector too.
         """
         if probe is None:
             return
-        if hasattr(probe, "bind"):
-            probe.bind(self)
+        probe.bind(self)
         queues = self.state.queues
         metrics = self.state.metrics
         maybe_sample = probe.maybe_sample
@@ -401,9 +399,7 @@ class SimKernel:
         def sample(t_ns: int) -> None:
             maybe_sample(t_ns, queues, metrics)
 
-        self.bus.subscribe(
-            "sample", sample, period_ns=getattr(probe, "period_ns", None)
-        )
+        self.bus.subscribe("sample", sample, period_ns=probe.period_ns)
 
     def attach_injector(self, injector, *, resumed: bool = False) -> None:
         """Bind a :class:`repro.faults.FaultInjector` to this run.

@@ -10,16 +10,19 @@
 * ``CC_penalty`` (10 us, the IP-forwarding image reload) applies when
   the core's last packet belonged to a *different service* — the 16 KB
   I-cache holds exactly one application image.
+
+The kernel computes eq. (3) inline (``start_packet`` in
+:meth:`repro.sim.kernel.SimKernel._activate`, and
+:func:`repro.sim.events.backend.simulate_core` on the span drain) from
+the :class:`~repro.sim.config.SimConfig` penalties.  This module keeps
+the Table III core those constants were measured on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import units
-from repro.net.service import ServiceSet
-
-__all__ = ["CoreConfig", "TABLE_III_CORE", "LatencyModel"]
+__all__ = ["CoreConfig", "TABLE_III_CORE"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,43 +42,3 @@ class CoreConfig:
 
 #: The exact Table III configuration.
 TABLE_III_CORE = CoreConfig()
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Computes per-packet processing delays for a service set."""
-
-    services: ServiceSet
-    fm_penalty_ns: int = units.us(0.8)
-    cc_penalty_ns: int = units.us(10.0)
-    core: CoreConfig = TABLE_III_CORE
-
-    def __post_init__(self) -> None:
-        if self.fm_penalty_ns < 0 or self.cc_penalty_ns < 0:
-            raise ValueError("penalties must be >= 0")
-
-    def processing_ns(
-        self,
-        service_id: int,
-        size_bytes: int,
-        *,
-        migrated: bool,
-        cold_cache: bool,
-    ) -> int:
-        """``PD_i`` of eq. (3) in integer nanoseconds."""
-        pd = self.services[service_id].processing_ns(size_bytes)
-        if migrated:
-            pd += self.fm_penalty_ns
-        if cold_cache:
-            pd += self.cc_penalty_ns
-        return pd
-
-    def t_proc_ns(self, service_id: int, size_bytes: int) -> int:
-        """Bare ``T_proc,i`` without penalties."""
-        return self.services[service_id].processing_ns(size_bytes)
-
-    def capacity_pps(
-        self, cores_per_service: list[int], mean_size_bytes: float = 64.0
-    ) -> float:
-        """Ideal aggregate throughput of an allocation (no penalties)."""
-        return self.services.capacity_pps(cores_per_service, mean_size_bytes)

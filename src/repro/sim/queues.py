@@ -178,9 +178,6 @@ class QueueBank:
         q.down = False
         q._sync()
 
-    def is_down(self, core_id: int) -> bool:
-        return self._queues[core_id].down
-
     def cores_down(self) -> list[int]:
         """Ids of cores currently marked down (ascending)."""
         return [c for c, q in enumerate(self._queues) if q.down]
@@ -191,9 +188,6 @@ class QueueBank:
 
     def __iter__(self):
         return iter(self._queues)
-
-    def total_drops(self) -> int:
-        return sum(q.drops for q in self._queues)
 
     def occupancies(self) -> list[int]:
         """Raw FIFO depths per core (a down core reads 0 here; the

@@ -1,13 +1,12 @@
 """The network-processor simulator (Fig. 6 wired together).
 
-Since the kernel refactor this module is a thin, stable shell: the run
+This module holds :func:`simulate`, the one-shot entry point.  The run
 loop itself lives in :class:`repro.sim.kernel.SimKernel`, which owns an
 explicit :class:`~repro.sim.kernel.SimState` and exposes ``step()`` /
 ``run_until(t_ns)`` / ``run()`` plus checkpoint/resume.  Probes, fault
 injectors and scheduler queue-edge callbacks all register on the
-kernel's :class:`~repro.sim.hooks.HookBus` — the old
-``probe.bind(sim)`` / ``injector.bind(sim)`` attribute-poking protocol
-is gone.  See ``docs/architecture.md`` for the layering.
+kernel's :class:`~repro.sim.hooks.HookBus`.  See
+``docs/architecture.md`` for the layering.
 
 Event structure (unchanged): arrivals come pre-sorted from the
 :class:`~repro.sim.workload.Workload` arrays or, chunk by chunk, from a
@@ -25,10 +24,8 @@ and get scored for reordering.
 The hot loop indexes plain numpy-backed lists and dicts; per-packet
 Python objects are never created.
 
-:class:`NetworkProcessorSim` remains the one-shot convenience wrapper
-(construct with optional probe/injector, call :meth:`run` once); use
-:class:`~repro.sim.kernel.SimKernel` directly for stepping, pausing and
-checkpointing.
+Use :class:`~repro.sim.kernel.SimKernel` directly for stepping, pausing
+and checkpointing.
 """
 
 from __future__ import annotations
@@ -41,69 +38,7 @@ from repro.sim.metrics import SimReport
 from repro.sim.source import PacketSource
 from repro.sim.workload import Workload
 
-__all__ = ["NetworkProcessorSim", "simulate"]
-
-
-class NetworkProcessorSim:
-    """One simulation run binding a scheduler to a workload.
-
-    A convenience shell over :class:`~repro.sim.kernel.SimKernel`: the
-    constructor wires the optional probe and injector onto the kernel's
-    hook bus, and :meth:`run` executes the whole run exactly once.
-    *workload* may be a materialized :class:`Workload` or any
-    :class:`~repro.sim.source.PacketSource` (sources are cloned by the
-    kernel, so one source object can seed many runs).
-    """
-
-    def __init__(
-        self,
-        config: SimConfig,
-        scheduler: Scheduler,
-        workload: Workload | PacketSource,
-        probe=None,
-        injector=None,
-        *,
-        vectorized: bool = True,
-    ) -> None:
-        self.kernel = SimKernel(config, scheduler, workload, vectorized=vectorized)
-        self.config = config
-        self.scheduler = scheduler
-        self.workload = workload
-        #: optional periodic sampler (see :meth:`SimKernel.attach_probe`)
-        self.probe = probe
-        #: optional :class:`repro.faults.FaultInjector` (dynamic events)
-        self.injector = injector
-        if injector is not None:
-            self.kernel.attach_injector(injector)
-        if probe is not None:
-            self.kernel.attach_probe(probe)
-        self._ran = False
-
-    # live-state views (delegate to the kernel's explicit state) --------
-    @property
-    def queues(self):
-        return self.kernel.state.queues
-
-    @property
-    def metrics(self):
-        return self.kernel.state.metrics
-
-    @property
-    def reorder(self):
-        return self.kernel.state.reorder
-
-    @property
-    def events_popped(self) -> int:
-        """Heap events popped by the run (profiling signal)."""
-        return self.kernel.events_popped
-
-    # ------------------------------------------------------------------
-    def run(self) -> SimReport:
-        """Execute the full run and return the report."""
-        if self._ran:
-            raise SimulationError("a NetworkProcessorSim instance runs once")
-        self._ran = True
-        return self.kernel.run()
+__all__ = ["simulate"]
 
 
 def simulate(
@@ -170,7 +105,9 @@ def simulate(
             window_ns=shard_window_ns, schedule=schedule,
             drain_policy=drain_policy, vectorized=vectorized,
         ).report
-    return NetworkProcessorSim(
-        config or SimConfig(), scheduler, workload, probe=probe,
-        injector=injector, vectorized=vectorized,
-    ).run()
+    kernel = SimKernel(
+        config or SimConfig(), scheduler, workload, vectorized=vectorized
+    )
+    kernel.attach_injector(injector)
+    kernel.attach_probe(probe)
+    return kernel.run()

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.trace.trace import Trace
 from repro.util.stats import gini
 
@@ -35,7 +36,7 @@ def flow_sizes(trace: Trace, by: str = "bytes") -> np.ndarray:
     elif by == "packets":
         weights = None
     else:
-        raise ValueError(f"by must be 'bytes' or 'packets', got {by!r}")
+        raise ConfigError(f"by must be 'bytes' or 'packets', got {by!r}")
     return np.bincount(trace.flow_id, weights=weights, minlength=trace.num_flows).astype(
         np.int64
     )
@@ -74,7 +75,7 @@ def top_k_flows(trace: Trace, k: int, by: str = "bytes") -> list[int]:
     This is the offline ground truth for AFD accuracy (Fig. 8).
     """
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ConfigError(f"k must be >= 0, got {k}")
     sizes = flow_sizes(trace, by=by)
     k = min(k, int((sizes > 0).sum()))
     if k == 0:
@@ -94,7 +95,7 @@ def windowed_top_k(
     against the recently active elephants.
     """
     if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
+        raise ConfigError(f"window must be positive, got {window}")
     out: list[tuple[int, list[int]]] = []
     n = trace.num_packets
     for start in range(0, n, window):

@@ -13,8 +13,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.trace.analysis import concentration, flow_sizes, top_k_flows
 from repro.trace.pcap import trace_from_pcap, write_pcap
 from repro.trace.synthetic import PRESETS, preset_trace
@@ -119,7 +121,11 @@ def main(argv: list[str] | None = None) -> int:
     exp.set_defaults(func=_cmd_export_pcap)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

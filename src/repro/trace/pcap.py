@@ -128,9 +128,20 @@ def iter_pcap(
 ) -> Iterator[PcapPacket]:
     """Stream records from a pcap(.gz) file path; see
     :func:`parse_pcap_stream`.  The file is closed when the generator
-    is exhausted or dropped."""
-    with _open(path, "rb") as fh:
-        yield from parse_pcap_stream(fh, counters)
+    is exhausted or dropped.  A file that cannot be opened, or a
+    ``.gz`` path that is not gzip data, raises
+    :class:`~repro.errors.TraceFormatError`."""
+    try:
+        fh = _open(path, "rb")
+    except OSError as exc:
+        raise TraceFormatError(
+            f"cannot open pcap {path}: {exc.strerror or exc}"
+        ) from exc
+    with fh:
+        try:
+            yield from parse_pcap_stream(fh, counters)
+        except gzip.BadGzipFile as exc:
+            raise TraceFormatError(f"{path} is not gzip data: {exc}") from exc
 
 
 def read_pcap(path: str | Path) -> tuple[list[PcapPacket], dict[str, int]]:

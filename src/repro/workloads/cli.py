@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from repro import units
+from repro.errors import ReproError
 from repro.schedulers.base import make_scheduler
 from repro.sim.config import SimConfig
 from repro.sim.source import workload_fingerprint
@@ -162,7 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     p_smoke.set_defaults(fn=_cmd_smoke)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

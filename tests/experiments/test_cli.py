@@ -25,6 +25,16 @@ class TestCLI:
         payload = json.loads(files[0].read_text())
         assert "rows" in payload
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fig7", "--quick", "--stream", "--chunk-size", "-5"],
+         "error: chunk size must be positive, got -5"),
+    ], ids=["negative-chunk-size"])
+    def test_repro_error_exits_2_without_traceback(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err.splitlines()
+        assert "Traceback" not in err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])

@@ -14,7 +14,7 @@ from repro.obs import (
     TelemetryProbe,
 )
 from repro.schedulers.fcfs import FCFSScheduler
-from repro.sim.system import NetworkProcessorSim
+from repro.sim.system import simulate
 
 
 class FakeQueues:
@@ -51,6 +51,12 @@ class TestPeriodSemantics:
         assert probe.times_ns == [250, 301]
         assert [r["dropped"] for r in probe.records] == [0, 9]
 
+    def test_samples_once_per_boundary(self):
+        probe = TelemetryProbe(100, [ProgressSampler()])
+        for t in (0, 120, 130, 200):   # 130 shares 120's period
+            probe.maybe_sample(t, FakeQueues([0]), FakeMetrics())
+        assert probe.times_ns == [0, 120, 200]
+
 
 class TestSamplers:
     def test_queue_occupancy_columns(self):
@@ -59,6 +65,13 @@ class TestSamplers:
         row = probe.records[0]
         assert row["occupancy"] == [2, 5]
         assert row["occ_max"] == 5 and row["occ_min"] == 2
+
+    def test_occupancy_matrix(self):
+        probe = TelemetryProbe(10, [QueueOccupancySampler()])
+        assert probe.occupancy_matrix().shape == (0, 0)
+        probe.maybe_sample(0, FakeQueues([3, 7]), FakeMetrics())
+        probe.maybe_sample(10, FakeQueues([1, 0]), FakeMetrics())
+        np.testing.assert_array_equal(probe.occupancy_matrix(), [[3, 7], [1, 0]])
 
     def test_unbound_rich_samplers_degrade_to_empty(self):
         """Scheduler/reorder samplers need the bound simulator; without
@@ -82,12 +95,23 @@ class TestSamplers:
 
 
 class TestEndToEnd:
+    def test_queue_and_progress_series(self, small_workload, small_config):
+        probe = TelemetryProbe(
+            units.us(100), [QueueOccupancySampler(), ProgressSampler()]
+        )
+        rep = simulate(small_workload, FCFSScheduler(), small_config, probe=probe)
+        assert probe.num_samples > 5
+        assert probe.occupancy_matrix().shape[1] == small_config.num_cores
+        # sample times are strictly increasing (one row per boundary)
+        assert all(np.diff(probe.times_ns) > 0)
+        # cumulative counters are non-decreasing
+        assert all(np.diff(probe.column("dropped")) >= 0)
+        assert all(np.diff(probe.column("departed")) >= 0)
+        assert probe.column("dropped")[-1] <= rep.dropped
+
     def test_full_battery_in_simulation(self, small_workload, small_config):
         probe = TelemetryProbe(units.us(100))
-        sim = NetworkProcessorSim(
-            small_config, FCFSScheduler(), small_workload, probe=probe
-        )
-        rep = sim.run()
+        rep = simulate(small_workload, FCFSScheduler(), small_config, probe=probe)
         assert probe.num_samples > 5
         row = probe.records[-1]
         # all four default samplers contributed (probe was bound)
@@ -98,10 +122,7 @@ class TestEndToEnd:
 
     def test_drain_phase_covered(self, small_workload, small_config):
         probe = TelemetryProbe(units.us(100))
-        sim = NetworkProcessorSim(
-            small_config, FCFSScheduler(), small_workload, probe=probe
-        )
-        sim.run()
+        simulate(small_workload, FCFSScheduler(), small_config, probe=probe)
         last_arrival = int(small_workload.arrival_ns[-1])
         drain_rows = [r for r in probe.records if r["t_ns"] > last_arrival]
         assert drain_rows, "no samples during the drain phase"
@@ -114,8 +135,7 @@ class TestEndToEnd:
 
         probe = TelemetryProbe(units.us(100))
         sched = LAPSScheduler(LAPSConfig(num_services=1), rng=0)
-        sim = NetworkProcessorSim(small_config, sched, small_workload, probe=probe)
-        sim.run()
+        simulate(small_workload, sched, small_config, probe=probe)
         row = probe.records[-1]
         assert "sched_migrations_installed" in row
         assert "sched_core_requests" in row
@@ -132,11 +152,10 @@ class TestFaultStateSampler:
 
         probe = TelemetryProbe(units.us(100))
         schedule = FaultSchedule([CoreFail(units.ms(1), core_id=3)])
-        sim = NetworkProcessorSim(
-            small_config, FCFSScheduler(), small_workload, probe=probe,
+        simulate(
+            small_workload, FCFSScheduler(), small_config, probe=probe,
             injector=FaultInjector(schedule),
         )
-        sim.run()
         before = [r for r in probe.records if r["t_ns"] < units.ms(1)]
         after = [r for r in probe.records if r["t_ns"] > units.ms(1)]
         assert before and before[0]["fault_cores_down"] == 0

@@ -66,6 +66,15 @@ class TestCompare:
         assert "Traceback" not in err
 
 
+    def test_missing_pcap_workload_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "no-such.pcap"
+        rc = main(["compare", "--workload", f"pcap:{path}", "--cores", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot open pcap {path}: No such file or directory" in err
+        assert "Traceback" not in err
+
+
 class TestSharded:
     def test_sharded_row_matches_single_process(self, capsys):
         args = [

@@ -49,29 +49,6 @@ class TestCausality:
             EventQueue().pop()
 
 
-class TestPopUntil:
-    def test_horizon_inclusive(self):
-        q = EventQueue()
-        for t in (1, 5, 10, 15):
-            q.push(t, t)
-        drained = [t for t, _ in q.pop_until(10)]
-        assert drained == [1, 5, 10]
-        assert len(q) == 1
-
-    def test_events_pushed_while_draining(self):
-        q = EventQueue()
-        q.push(1, "a")
-        seen = []
-        for t, payload in q.pop_until(10):
-            seen.append(payload)
-            if payload == "a":
-                q.push(5, "chained")
-        assert seen == ["a", "chained"]
-
-    def test_empty(self):
-        assert list(EventQueue().pop_until(100)) == []
-
-
 class TestMisc:
     def test_len_and_bool(self):
         q = EventQueue()

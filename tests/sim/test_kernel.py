@@ -10,13 +10,13 @@ from repro.errors import ConfigError, SimulationError
 from repro.faults.events import CoreFail, CoreRecover, CoreSlowdown, FaultSchedule
 from repro.faults.injector import FaultInjector
 from repro.net.service import Service, ServiceSet
+from repro.obs import ProgressSampler, QueueOccupancySampler, TelemetryProbe
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.hash_static import StaticHashScheduler
 from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
 from repro.sim.hooks import HOOK_EVENTS, HookBus
 from repro.sim.kernel import CHECKPOINT_VERSION, Checkpoint, SimKernel
-from repro.sim.probes import QueueProbe
 from repro.sim.system import simulate
 from repro.sim.workload import Workload, build_workload
 from repro.trace.synthetic import preset_trace
@@ -25,6 +25,11 @@ from repro.trace.synthetic import preset_trace
 # ----------------------------------------------------------------------
 # fixtures / builders
 # ----------------------------------------------------------------------
+def queue_probe(period_ns):
+    """Queue depths plus cumulative progress counters."""
+    return TelemetryProbe(period_ns, [QueueOccupancySampler(), ProgressSampler()])
+
+
 def manual_workload(arrivals, flows, services=None, num_services=1):
     n = len(arrivals)
     flows = np.asarray(flows, dtype=np.int64)
@@ -287,10 +292,10 @@ class TestCheckpointResume:
         cfg = small_config(num_cores=8)
         expected = simulate(wl, StaticHashScheduler(), cfg)
         kernel = SimKernel(cfg, StaticHashScheduler(), wl)
-        kernel.attach_probe(QueueProbe(units.us(50)))
+        kernel.attach_probe(queue_probe(units.us(50)))
         mid = int(wl.arrival_ns[wl.num_packets // 2])
         kernel.run_until(mid)
-        probe2 = QueueProbe(units.us(50))
+        probe2 = queue_probe(units.us(50))
         resumed = SimKernel.resume(kernel.checkpoint(), cfg, wl, probe=probe2)
         assert resumed.run() == expected
         assert probe2.num_samples > 0
@@ -303,7 +308,7 @@ class TestDrainEdgeCases:
         # the sampling period exceeds the whole drain window
         wl = manual_workload([0, 0, 0], [0, 1, 2])
         cfg = small_config(num_cores=1, queue_capacity=8, drain_ns=3000)
-        probe = QueueProbe(units.ms(10))  # period >> drain_ns
+        probe = queue_probe(units.ms(10))  # period >> drain_ns
         rep = simulate(wl, StaticHashScheduler(), cfg, probe=probe)
         assert rep.departed == 3  # back-to-back service ends at 3000
         # one sample: the t=0 arrival; the drain-end call lands in the
@@ -318,7 +323,7 @@ class TestDrainEdgeCases:
 
     def test_empty_workload_with_probe(self):
         wl = manual_workload([], [])
-        probe = QueueProbe(units.us(1))
+        probe = queue_probe(units.us(1))
         rep = simulate(wl, StaticHashScheduler(), small_config(), probe=probe)
         assert rep.departed == 0
         assert probe.num_samples >= 1  # the final drain-end sample

@@ -1,59 +1,11 @@
-"""Tests for the eq. (3)-(5) processing-delay model."""
+"""Tests for the Table III core configuration."""
 
-import pytest
-
-from repro import units
-from repro.net.service import default_services
-from repro.sim.latency import LatencyModel, TABLE_III_CORE
-
-
-@pytest.fixture
-def model():
-    return LatencyModel(services=default_services())
-
-
-class TestEquation3:
-    def test_bare_t_proc(self, model):
-        assert model.processing_ns(1, 64, migrated=False, cold_cache=False) == 500
-
-    def test_fm_penalty_added(self, model):
-        pd = model.processing_ns(1, 64, migrated=True, cold_cache=False)
-        assert pd == 500 + units.us(0.8)
-
-    def test_cc_penalty_added(self, model):
-        pd = model.processing_ns(1, 64, migrated=False, cold_cache=True)
-        assert pd == 500 + units.us(10)
-
-    def test_both_penalties(self, model):
-        pd = model.processing_ns(1, 64, migrated=True, cold_cache=True)
-        assert pd == 500 + units.us(0.8) + units.us(10)
-
-    def test_t_proc_helper(self, model):
-        assert model.t_proc_ns(2, 9999) == units.us(3.53)
-
-    def test_size_dependent_service(self, model):
-        pd64 = model.t_proc_ns(0, 64)
-        pd128 = model.t_proc_ns(0, 128)
-        assert pd128 - pd64 == units.us(0.23)
+from repro.sim.latency import TABLE_III_CORE
 
 
 class TestDefaults:
-    def test_paper_penalty_constants(self, model):
-        assert model.fm_penalty_ns == 800
-        assert model.cc_penalty_ns == 10_000
-
-    def test_negative_penalties_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(services=default_services(), fm_penalty_ns=-1)
-
     def test_table3_config(self):
         assert TABLE_III_CORE.frequency_ghz == 1.0
         assert TABLE_III_CORE.icache_kb == 16
         assert TABLE_III_CORE.dcache_kb == 32
         assert TABLE_III_CORE.pipeline_stages == 7
-
-
-class TestCapacity:
-    def test_capacity_passthrough(self, model):
-        cap = model.capacity_pps([0, 1, 0, 0], mean_size_bytes=64)
-        assert cap == pytest.approx(2e6)

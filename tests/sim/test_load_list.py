@@ -117,7 +117,7 @@ def test_committed_v4_checkpoint_rebuilds_occ():
         ckpt, _config(record_departures=False), _workload(1, None)
     )
     assert_exact(kernel)
-    assert kernel.queues.is_down(1)
+    assert kernel.queues[1].down
     assert kernel.scheduler.loads is kernel.queues
     kernel.run()
     assert_exact(kernel)

@@ -81,14 +81,6 @@ class TestQueueBank:
         assert back.occ == [0, 1]
         assert bank.occ is occ and occ == [4, 0]
 
-    def test_total_drops(self):
-        bank = QueueBank(2, 1)
-        bank[0].offer(1)
-        bank[0].offer(2)  # drop
-        bank[1].offer(3)
-        bank[1].offer(4)  # drop
-        assert bank.total_drops() == 2
-
     def test_invalid_size(self):
         with pytest.raises(ConfigError):
             QueueBank(0, 32)

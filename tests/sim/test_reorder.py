@@ -195,9 +195,9 @@ class TestFullRunDrains:
         """End-to-end: a generously drained run accounts every packet,
         so the detector's in-flight gap set is empty afterwards."""
         from repro.schedulers.fcfs import FCFSScheduler
-        from repro.sim.system import NetworkProcessorSim
+        from repro.sim.kernel import SimKernel
 
-        sim = NetworkProcessorSim(small_config, FCFSScheduler(), small_workload)
-        rep = sim.run()
+        kernel = SimKernel(small_config, FCFSScheduler(), small_workload)
+        rep = kernel.run()
         assert rep.departed + rep.dropped == rep.generated
-        assert sim.reorder.in_flight_gaps == 0
+        assert kernel.reorder.in_flight_gaps == 0

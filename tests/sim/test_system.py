@@ -11,7 +11,8 @@ from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.hash_static import StaticHashScheduler
 from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
-from repro.sim.system import NetworkProcessorSim, simulate
+from repro.sim.kernel import SimKernel
+from repro.sim.system import simulate
 from repro.sim.workload import Workload, build_workload
 
 
@@ -148,10 +149,10 @@ class TestConservation:
         assert rep.observed_ns >= rep.duration_ns
 
     def test_events_popped_matches_departures(self, small_workload, small_config):
-        sim = NetworkProcessorSim(small_config, FCFSScheduler(), small_workload)
-        rep = sim.run()
+        kernel = SimKernel(small_config, FCFSScheduler(), small_workload)
+        rep = kernel.run()
         # one completion event per departure
-        assert sim.events_popped == rep.departed
+        assert kernel.events_popped == rep.departed
 
 
 class TestDeterminism:
@@ -165,10 +166,10 @@ class TestDeterminism:
 
 class TestGuards:
     def test_run_once(self, small_workload, small_config):
-        sim = NetworkProcessorSim(small_config, FCFSScheduler(), small_workload)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.run()
+        kernel = SimKernel(small_config, FCFSScheduler(), small_workload)
+        kernel.run()
+        with pytest.raises(SimulationError, match="already finished"):
+            kernel.run()
 
     def test_bad_core_id_detected(self, small_workload, small_config):
         class Broken(Scheduler):
@@ -183,7 +184,7 @@ class TestGuards:
     def test_too_many_services_rejected(self, small_config):
         wl = manual_workload([0], [0], services=[3], num_services=4)
         with pytest.raises(ConfigError):
-            NetworkProcessorSim(small_config, FCFSScheduler(), wl)
+            simulate(wl, FCFSScheduler(), small_config)
 
     def test_collect_latencies_toggle(self, small_workload, single_service):
         cfg = SimConfig(num_cores=4, services=single_service,

@@ -47,3 +47,23 @@ class TestConvertAndExport:
         back = Trace.load_npz(npz_out)
         assert back.num_packets == tiny_trace.num_packets
         assert back.num_flows == tiny_trace.num_flows
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "nope"],
+         "error: cannot read trace from nope: "
+         "[Errno 2] No such file or directory: 'nope'"),
+        (["generate", "caida-1", "out.npz", "--packets", "-5"],
+         "error: num_packets must be >= 0, got -5"),
+        (["analyze", "caida-1", "--top", "-1"],
+         "error: k must be >= 0, got -1"),
+    ], ids=["missing-trace", "negative-packets", "negative-top"])
+    def test_repro_error_exits_2_without_traceback(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err.splitlines()
+        assert "Traceback" not in err

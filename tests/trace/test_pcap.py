@@ -216,6 +216,21 @@ class TestStreaming:
         with pytest.raises(TraceFormatError, match="linktype"):
             list(iter_pcap(path))
 
+    def test_missing_file_is_typed(self, tmp_path):
+        path = tmp_path / "missing.pcap"
+        with pytest.raises(TraceFormatError, match=f"cannot open pcap {path}") as err:
+            trace_from_pcap(path)
+        assert isinstance(err.value.__cause__, FileNotFoundError)
+
+    def test_gz_suffix_without_gzip_data_is_typed(self, tmp_path):
+        plain = tmp_path / "t.pcap"
+        write_pcap(plain, sample_packets())
+        path = tmp_path / "t.pcap.gz"
+        path.write_bytes(plain.read_bytes())
+        with pytest.raises(TraceFormatError, match=f"{path} is not gzip data") as err:
+            trace_from_pcap(path)
+        assert isinstance(err.value.__cause__, OSError)
+
     def test_counters_optional(self, tmp_path):
         path = tmp_path / "t.pcap"
         write_pcap(path, sample_packets())

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.workloads.cli import main
 from repro.workloads.registry import workload_preset_names
 
@@ -40,6 +42,22 @@ class TestSample:
         out = capsys.readouterr().out
         assert rc == 0
         assert "fingerprint:" in out and "flows:" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "websearch", "--packets", "-3"],
+         "error: num_packets must be positive, got -3"),
+        (["sample", "websearch", "--duration-ms", "0"],
+         "error: duration must be positive, got 0.0"),
+        (["sample", "nope"],
+         "error: unknown workload 'nope': available cache-mice, datamining, "
+         "diurnal-flash, mmpp-bursty, replay-tiny, websearch, websearch-mmpp "
+         "or pcap:<path>"),
+    ], ids=["negative-packets", "zero-duration", "unknown-workload"])
+    def test_repro_error_exits_2_without_traceback(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err.splitlines()
+        assert "Traceback" not in err
 
 
 class TestSmoke:
