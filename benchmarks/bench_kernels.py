@@ -271,19 +271,15 @@ PLAN_SCHEDULERS = [
 
 @pytest.mark.parametrize("name", PLAN_SCHEDULERS)
 def test_plan_floor(benchmark, name):
-    """A scheduler's plan on the default path (planned columns, plus
-    the span drain for ``batch_static`` schedulers) must not lose to
-    its own scalar oracle (``vectorized=False``).  A plan that loses is
-    deleted, not tolerated.  For LAPS the batch-native span commit
-    (``AFD.observe_batch`` + ``CoreAllocator.note_load_batch``) is what
-    pays for the span machinery; a silent regression back to
-    per-packet replay shows up here as default < scalar.  The workload
-    is sized past the span warm-up crossover (the AIMD span cap and
-    column planner amortize over ~100k packets — below that the scalar
-    oracle wins on fixed overhead alone, so this test ignores
-    ``REPRO_BENCH_QUICK``), and the two paths are interleaved
-    round-by-round so a slow patch on a shared runner hits both
-    equally."""
+    """A scheduler's plan on the default path (planned columns drained
+    as spans) must not lose to its own scalar oracle
+    (``vectorized=False``).  A plan that loses is deleted, not
+    tolerated.  The workload is sized past the span warm-up crossover
+    (the column planner and span drain amortize over ~100k packets —
+    below that the scalar oracle wins on fixed overhead alone, so this
+    test ignores ``REPRO_BENCH_QUICK``), and the two paths are
+    interleaved round-by-round so a slow patch on a shared runner hits
+    both equally."""
     packets = 150_000
     svc = ServiceSet([Service(0, "ip-forward", units.us(0.5))])
     trace = preset_trace("caida-1", num_packets=packets)
@@ -293,13 +289,8 @@ def test_plan_floor(benchmark, name):
     )
     cfg = SimConfig(num_cores=8, services=svc, collect_latencies=False)
 
-    def make():
-        if name == "laps":
-            return LAPSScheduler(LAPSConfig(num_services=1), rng=7)
-        return make_scheduler(name)
-
     def one(vectorized):
-        sched = make()
+        sched = make_scheduler(name)
         t0 = time.perf_counter()
         rep = simulate(wl, sched, cfg, vectorized=vectorized)
         return rep.generated / (time.perf_counter() - t0), rep

@@ -164,7 +164,7 @@ def test_streamed_rss_stays_flat_while_materialized_grows():
 
 
 def test_span_drain_rss_matches_scalar_oracle():
-    """The span drain bounds its working set (the adaptive span cap):
+    """The span drain bounds its working set (the 16 Ki-row span cap):
     a streamed hash-static run on the default path peaks at most
     ``_SPAN_SLACK_MB`` above the same run on the scalar oracle."""
     n = _SPAN_PACKETS

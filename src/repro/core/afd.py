@@ -117,227 +117,6 @@ class AggressiveFlowDetector:
             return
         self.annex.insert(flow_id)
 
-    # ------------------------------------------------------------------
-    # batched path (the kernel's span drain)
-    # ------------------------------------------------------------------
-    def observe_batch(self, flow_ids: np.ndarray) -> None:
-        """Account a committed span of packets — bit-identical to
-        calling :meth:`observe` once per element, in order.
-
-        The scalar protocol is restructured, never weakened:
-
-        * the sampling mask is one ``rng.random(n) < sample_prob`` draw
-          (stream-identical to n successive scalar draws for the numpy
-          ``Generator``);
-        * decay boundaries follow from ``sampled``-counter arithmetic,
-          splitting the span into decay-delimited segments;
-        * within a segment, AFC-resident hits collapse to a single
-          bincount-style counter merge and annex hits that provably
-          cannot promote accumulate into one bucket hop per flow
-          (:meth:`LFUCache.merge_hits`);
-        * only the residual annex-insert / promotion-attempt
-          subsequence replays through the exact scalar path, with all
-          pending merges flushed first so every structural read (LFU
-          victim choice, challenge counts) sees the scalar state.
-        """
-        flow_ids = np.asarray(flow_ids)
-        n = int(flow_ids.size)
-        if n == 0:
-            return
-        self.observed += n
-        cfg = self.config
-        if cfg.sample_prob < 1.0:
-            keep = self._rng.random(n) < cfg.sample_prob
-            flow_ids = flow_ids[keep]
-        m = int(flow_ids.size)
-        s0 = self.sampled
-        self.sampled = s0 + m
-        if m == 0:
-            return
-        every = cfg.decay_every
-        if every is None:
-            self._observe_segment(flow_ids)
-            return
-        # decay fires *before* the boundary-rank packet is observed
-        # (scalar: the ``sampled % decay_every`` check precedes
-        # ``_observe_sampled``), so rank r = every - s0 % every starts
-        # a fresh post-decay segment
-        r = every - (s0 % every)
-        lo = 0
-        shift = cfg.decay_shift
-        while r <= m:
-            if r - 1 > lo:
-                self._observe_segment(flow_ids[lo:r - 1])
-            self.afc.decay(shift)
-            self.annex.decay(shift)
-            lo = r - 1
-            r += every
-        if lo < m:
-            self._observe_segment(flow_ids[lo:])
-
-    def _observe_segment(self, fids: np.ndarray) -> None:
-        """One decay-free stretch: AFC membership only changes when a
-        promotion lands, so process it as runs of frozen AFC residency,
-        recomputing the residency vectors after each membership
-        change."""
-        start = 0
-        n = int(fids.size)
-        while start < n:
-            start = self._observe_run(fids, start)
-
-    def _observe_run(self, fids: np.ndarray, start: int) -> int:
-        """Process ``fids[start:]`` until the end or the first AFC
-        membership change (a successful promotion); returns the index
-        to resume from.
-
-        Exactness argument, per packet class:
-
-        * **AFC-resident** (residency frozen for the run): a pure
-          counter hit.  All such hits merge via one bincount +
-          :meth:`LFUCache.merge_hits`, flushed before any reader of
-          AFC counts (a promotion challenge) and at run end.
-        * **Annex hit that cannot promote**: either the count stays
-          below ``promote_threshold``, or the AFC is full and the
-          flow's count cannot exceed the AFC's minimum — which is
-          non-decreasing within a decay-free segment — so the scalar
-          challenge would fail without touching state.  Both cases are
-          pure counter hits; they accumulate per flow and merge in
-          last-occurrence order.
-        * **Everything else** (annex miss → insert, or a challenge
-          that could succeed) replays through the exact scalar
-          operations.  Before an insert must evict, the scalar victim
-          is read off the lazy state directly: scalar bucket 1 is the
-          lazy count-1 bucket minus the pending keys (a pending flow's
-          scalar count sits strictly above the lazy minimum, and fresh
-          inserts arrive in identical FIFO order), so the first
-          non-pending key of lazy bucket 1 is provably the scalar LFU
-          victim; only when no such key exists do the pending merges
-          flush first.  A challenge flushes both caches
-          unconditionally.
-        """
-        afc = self.afc
-        annex = self.annex
-        cfg = self.config
-        threshold = cfg.promote_threshold
-        rem = fids[start:] if start else fids
-        num_afc = len(afc._counts)
-        if num_afc:
-            skeys = np.sort(
-                np.fromiter(afc._counts.keys(), dtype=np.int64, count=num_afc)
-            )
-            slot = np.searchsorted(skeys, rem)
-            np.minimum(slot, num_afc - 1, out=slot)
-            afc_mask = skeys[slot] == rem
-            afc_rel = np.nonzero(afc_mask)[0]
-            afc_slot = slot[afc_rel]
-            walk_rel = np.nonzero(~afc_mask)[0]
-            walk_fids = rem[walk_rel].tolist()
-        else:
-            skeys = afc_rel = afc_slot = walk_rel = None
-            walk_fids = rem.tolist()
-        afc_full = num_afc >= afc.capacity
-        afc_floor = afc._min_count if afc_full else 0
-        annex_counts = annex._counts
-        annex_cap = annex.capacity
-        annex_insert = annex.insert
-        pending: dict[int, int] = {}
-        #: a pended flow whose stored count is 0 (possible right after a
-        #: decay) may merge into frequency bucket 1 — the bucket fresh
-        #: inserts append to — so inserts must flush first to keep the
-        #: scalar FIFO order
-        pending_zero = False
-        afc_flushed = 0
-        afc_misses = 0
-        annex_misses = 0
-        for i, f in enumerate(walk_fids):
-            afc_misses += 1  # scalar probes (and misses) the AFC first
-            count = annex_counts.get(f)
-            if count is None:
-                annex_misses += 1
-                if pending:
-                    if pending_zero:
-                        annex.merge_hits(pending.keys(), pending.values())
-                        pending = {}
-                        pending_zero = False
-                    elif len(annex_counts) >= annex_cap:
-                        # scalar bucket 1 is exactly the lazy bucket 1
-                        # minus the pending keys (their scalar counts
-                        # sit strictly above the lazy minimum), so the
-                        # scalar LFU victim is the first non-pending
-                        # key of lazy bucket 1 — evict it directly and
-                        # keep accumulating; flush only when no such
-                        # key exists
-                        victim = None
-                        if annex._min_count == 1:
-                            for cand in annex._buckets[1]:
-                                if cand not in pending:
-                                    victim = cand
-                                    break
-                        if victim is None:
-                            annex.merge_hits(pending.keys(), pending.values())
-                            pending = {}
-                        else:
-                            annex.evict(victim)
-                            annex.evictions += 1
-                annex_insert(f)
-                continue
-            delta = pending.get(f, 0)
-            new_count = count + delta + 1
-            if new_count < threshold or (afc_full and new_count <= afc_floor):
-                if delta:
-                    del pending[f]  # re-append: dict order = last occurrence
-                elif count == 0:
-                    pending_zero = True
-                pending[f] = delta + 1
-                continue
-            # genuine promotion attempt: flush, then exact scalar replay
-            pos = int(walk_rel[i]) if walk_rel is not None else i
-            afc_flushed = self._flush_afc(
-                skeys, afc_rel, afc_slot, afc_flushed, pos
-            )
-            if pending:
-                annex.merge_hits(pending.keys(), pending.values())
-                pending = {}
-                pending_zero = False
-            afc.misses += afc_misses
-            annex.misses += annex_misses
-            afc_misses = annex_misses = 0
-            promotions = self.promotions
-            annex.hit(f)
-            self._try_promote(f)
-            if self.promotions != promotions:
-                # membership changed: residency vectors are stale
-                return start + pos + 1
-            if afc_full:
-                afc_floor = afc._min_count  # only ever grows in-segment
-        if afc_rel is not None:
-            self._flush_afc(skeys, afc_rel, afc_slot, afc_flushed, rem.size)
-        if pending:
-            annex.merge_hits(pending.keys(), pending.values())
-        afc.misses += afc_misses
-        annex.misses += annex_misses
-        return int(fids.size)
-
-    def _flush_afc(self, skeys, afc_rel, afc_slot, flushed: int, upto: int) -> int:
-        """Merge the AFC-resident hits at run-relative positions
-        ``afc_rel[flushed:]`` that fall before *upto*; returns the new
-        flushed prefix length."""
-        if afc_rel is None:
-            return flushed
-        j = int(np.searchsorted(afc_rel, upto))
-        if j > flushed:
-            span = afc_slot[flushed:j]
-            deltas = np.bincount(span, minlength=skeys.size)
-            last = np.full(skeys.size, -1, dtype=np.int64)
-            last[span] = np.arange(span.size)  # duplicate index: last wins
-            keys, counts = [], []
-            for s in np.argsort(last, kind="stable").tolist():
-                if last[s] >= 0:
-                    keys.append(int(skeys[s]))
-                    counts.append(int(deltas[s]))
-            self.afc.merge_hits(keys, counts)
-        return j
-
     def _try_promote(self, flow_id: int) -> None:
         """Promote annex -> AFC iff the candidate out-ranks the AFC's
         weakest resident.

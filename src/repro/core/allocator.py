@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError, SchedulerError
 
 __all__ = ["CoreAllocator", "CoreTransfer"]
@@ -126,13 +124,6 @@ class CoreAllocator:
     def owner_of(self, core_id: int) -> int:
         return self._owner[core_id]
 
-    def owner_array(self) -> np.ndarray:
-        """Fresh int64 snapshot of per-core owning service ids (``-1``
-        marks a foreign core) — the vectorized plan overlay checks pin
-        staleness against this in one gather instead of ``owner_of``
-        per pin."""
-        return np.asarray(self._owner, dtype=np.int64)
-
     def cores_of(self, service_id: int) -> list[int]:
         """Cores currently owned by *service_id* (ascending id)."""
         return [c for c, s in enumerate(self._owner) if s == service_id]
@@ -169,30 +160,6 @@ class CoreAllocator:
         scheduler for the core each packet is routed to)."""
         if occupancy >= self.busy_occupancy:
             self._last_busy_ns[core_id] = t_ns
-
-    def note_load_batch(self, cores, occupancies, t_ns) -> None:
-        """Vectorized :meth:`note_load` over one committed span.
-
-        ``last_busy_ns`` keeps only the **last** qualifying timestamp
-        per core, so the arrival-order replay collapses to a masked
-        per-core reduction: take the final ``occ >= busy_occupancy``
-        reading of each core in the span.  Exact because the span
-        drain dispatches no handler (and therefore no interleaved
-        ``is_surplus``/``surplus_cores`` read) between the packets of
-        one committed span.
-        """
-        mask = occupancies >= self.busy_occupancy
-        if not mask.any():
-            return
-        busy_cores = cores[mask]
-        busy_t = t_ns[mask]
-        # last qualifying reading per core: unique() on the reversed
-        # span returns the index of each core's *latest* occurrence
-        uniq, first_rev = np.unique(busy_cores[::-1], return_index=True)
-        last_t = busy_t[::-1][first_rev]
-        last_busy = self._last_busy_ns
-        for core, t in zip(uniq.tolist(), last_t.tolist()):
-            last_busy[core] = t
 
     def touch(self, core_id: int, t_ns: int) -> None:
         """Unconditionally mark the core busy (granted cores are about

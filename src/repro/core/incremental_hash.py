@@ -22,8 +22,6 @@ spec (or a test's identity hash) can front it.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["IncrementalHash"]
 
 
@@ -64,26 +62,6 @@ class IncrementalHash:
         if h1 < self._buckets - self._m:
             return hashed_key % (2 * self._m)
         return h1
-
-    def bucket_of_batch(self, hashed_keys):
-        """Vectorized :meth:`bucket_of` over a numpy int array (same
-        split/unsplit rule, expressed as a ``where``).
-
-        Negative hash values raise exactly like the scalar path: Python
-        ``%`` would silently wrap them into valid-looking (but wrong)
-        buckets, so the batch path used to return different buckets than
-        the ``ValueError`` the scalar path raises.
-        """
-        hashed_keys = np.asarray(hashed_keys)
-        if hashed_keys.size and int(hashed_keys.min()) < 0:
-            raise ValueError(
-                f"hash values must be >= 0, got {int(hashed_keys.min())}"
-            )
-        h1 = hashed_keys % self._m
-        split = self._buckets - self._m
-        if split == 0:
-            return h1
-        return np.where(h1 < split, hashed_keys % (2 * self._m), h1)
 
     # ------------------------------------------------------------------
     def grow(self) -> int:

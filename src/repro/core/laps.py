@@ -31,7 +31,7 @@ from repro.core.afd import AFDConfig, AggressiveFlowDetector
 from repro.core.allocator import CoreAllocator
 from repro.core.map_table import ServiceMapTable
 from repro.core.migration import MigrationTable
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchedulerError
 from repro.schedulers.base import Scheduler, register_scheduler
 from repro import units
 
@@ -77,19 +77,15 @@ class LAPSConfig:
 
 @register_scheduler("laps")
 class LAPSScheduler(Scheduler):
-    """The paper's scheduler.  See module docstring for the algorithm."""
+    """The paper's scheduler.  See module docstring for the algorithm.
 
-    #: planned entries are pure map/migration-table lookups — the
-    #: Listing 1 balancer only runs at or above ``batch_guard`` (the
-    #: high threshold), which truncates a batched span — so spans may
-    #: be drained batched
-    batch_static = True
-
-    #: the balancer reads live queue occupancy and donates cores across
-    #: services, so a core-partitioned shard cannot reproduce a
-    #: single-process run; LAPS shards *by service* instead, through
-    #: the :meth:`configure_shard` window/mailbox protocol below
-    shard_static = False
+    LAPS has no vectorized plan: every packet is decided in
+    :meth:`select_core`, because the Listing 1 balancer reads live queue
+    occupancy.  For the same reason a core-partitioned shard cannot
+    reproduce a single-process run, so LAPS shards *by service*
+    instead, through the :meth:`configure_shard` window/mailbox
+    protocol below.
+    """
 
     def __init__(
         self,
@@ -111,13 +107,6 @@ class LAPSScheduler(Scheduler):
         #: first unmet ``request_core`` per service this window
         #: (service_id -> t_ns of the first denial)
         self._shard_denials: dict[int, int] = {}
-        #: sorted snapshot of the migration table for the vectorized
-        #: plan overlay, cached on ``MigrationTable.epoch`` (same shape
-        #: as the ``ServiceMapTable.lookup_batch`` cache): aligned
-        #: (flow_ids, cores) arrays, rebuilt only after a pin mutation
-        self._pin_epoch = -1
-        self._pin_fids: np.ndarray | None = None
-        self._pin_cores: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def configure_shard(
@@ -154,9 +143,6 @@ class LAPSScheduler(Scheduler):
                 f"high_threshold {cfg.high_threshold} exceeds queue capacity "
                 f"{loads.queue_capacity}"
             )
-        #: a planned assignment is only valid while its target is not
-        #: overloaded — the whole Listing 1 balancer runs behind this
-        self.batch_guard = cfg.high_threshold
         self.allocator = CoreAllocator(
             loads.num_cores, cfg.num_services, cfg.idle_threshold_ns,
             owners=self.shard_ownership,
@@ -186,7 +172,14 @@ class LAPSScheduler(Scheduler):
         self, flow_id: int, service_id: int, flow_hash: int, t_ns: int
     ) -> int:
         cfg = self.config
-        table = self.map_tables[service_id]
+        try:
+            table = self.map_tables[service_id]
+        except KeyError:
+            raise SchedulerError(
+                f"packet of service {service_id} has no map table: LAPS "
+                f"is configured with LAPSConfig(num_services="
+                f"{cfg.num_services}), services 0..{cfg.num_services - 1}"
+            ) from None
         allocator = self.allocator
 
         # background AFD update (not on the critical path in hardware)
@@ -205,7 +198,6 @@ class LAPSScheduler(Scheduler):
             # the pinned core was donated away: entry is stale
             self.migration.remove(flow_id)
             self.stale_migrations_dropped += 1
-            self.map_epoch += 1
 
         # 2. default hash lookup
         target = table.lookup(flow_hash)
@@ -220,10 +212,9 @@ class LAPSScheduler(Scheduler):
                 if self.afd.is_aggressive(flow_id):
                     dest = self._placement_target(table.cores, cfg.high_threshold)
                     if dest is not None and dest != target:
-                        self.migration.add(flow_id, dest)  # may evict: same bump
+                        self.migration.add(flow_id, dest)
                         self.afd.invalidate(flow_id)
                         self.migrations_installed += 1
-                        self.map_epoch += 1
                         return dest
             else:
                 # every core of this service is overloaded: none of them
@@ -234,80 +225,6 @@ class LAPSScheduler(Scheduler):
                 if granted:
                     target = table.lookup(flow_hash)
         return target
-
-    #: plan at most this many arrivals ahead: under migration churn
-    #: every ``map_epoch`` bump throws away the planned suffix, so a
-    #: bounded span caps the wasted vector work per bump
-    _BATCH_SPAN = 8192
-
-    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
-        """Vectorized Sec. III-E lookup: per-service incremental-hash
-        map tables, overridden by a sparse migration-table overlay.
-
-        The plan mirrors only the *pure* prefix of ``select_core``:
-        migration pin (or the hash target when unpinned).  Everything
-        with side effects stays scalar — live pins whose target turns
-        out overloaded trip ``batch_guard`` (the pinned path returns the
-        pin regardless, so re-running scalar is exact), stale pins are
-        marked ``-1`` so their removal-and-fallback runs in
-        ``select_core``, and the per-packet AFD/allocator bookkeeping is
-        replicated by :meth:`batch_commit`.  A service id with no map
-        table also maps to ``-1``, reproducing the scalar ``KeyError``.
-        """
-        n = len(flow_hash)
-        if n > self._BATCH_SPAN:
-            n = self._BATCH_SPAN
-        sids = service_id[:n]
-        out = np.full(n, -1, dtype=np.int64)
-        for sid, table in self.map_tables.items():
-            mask = sids == sid
-            if mask.any():
-                out[mask] = table.lookup_batch(flow_hash[:n][mask])
-        mig = self.migration
-        if len(mig):
-            fids = flow_id[:n]
-            if self._pin_epoch != mig.epoch:
-                pairs = np.asarray(mig.items(), dtype=np.int64).reshape(-1, 2)
-                order = np.argsort(pairs[:, 0])
-                self._pin_fids = pairs[order, 0]
-                self._pin_cores = pairs[order, 1]
-                self._pin_epoch = mig.epoch
-            pf = self._pin_fids
-            idx = np.searchsorted(pf, fids)
-            np.minimum(idx, pf.size - 1, out=idx)
-            hit = np.nonzero(pf[idx] == fids)[0]
-            if hit.size:
-                core = self._pin_cores[idx[hit]]
-                live = self.allocator.owner_array()[core] == sids[hit]
-                # stale pins map to -1: the scalar path prunes them
-                out[hit] = np.where(live, core, -1)
-        return out
-
-    def batch_commit(
-        self, flow_id: int, flow_hash: int, core: int, occupancy: int, t_ns: int
-    ) -> None:
-        """The unconditional per-packet work of ``select_core``: the
-        background AFD observation and the allocator's quietness note
-        for the core the packet was routed to (*occupancy* is the
-        guard's reading of that core's queue)."""
-        self.afd.observe(flow_id)
-        self.allocator.note_load(core, occupancy, t_ns)
-
-    def batch_commit_span(self, flow_id, flow_hash, core, occ, t_ns) -> None:
-        """Vectorized :meth:`batch_commit` for one committed span.
-
-        The AFD and the allocator are disjoint state, so the per-packet
-        interleaving of ``observe`` / ``note_load`` is immaterial — the
-        span factors into one batch AFD observation
-        (:meth:`~repro.core.afd.AggressiveFlowDetector.observe_batch`,
-        bit-identical to n scalar observes including the sampling RNG
-        stream) and one masked per-core last-busy reduction
-        (:meth:`~repro.core.allocator.CoreAllocator.note_load_batch`).
-        Equivalent to per-element ``batch_commit`` by construction;
-        never bumps ``map_epoch``.
-        """
-        self.afd.observe_batch(flow_id)
-        self.allocator.note_load_batch(core, occ, t_ns)
 
     def _placement_target(self, cores, high_threshold: int) -> int | None:
         """Destination core for a migrating elephant.
@@ -356,9 +273,6 @@ class LAPSScheduler(Scheduler):
         # migrated flows pointing at the donated core are now invalid
         self.stale_migrations_dropped += len(self.migration.drop_core(transfer.core_id))
         self.map_tables[service_id].add_core(transfer.core_id)
-        # both map tables, core ownership and possibly the migration
-        # table changed — one bump invalidates any planned column
-        self.map_epoch += 1
         return True
 
     # ------------------------------------------------------------------
@@ -378,7 +292,6 @@ class LAPSScheduler(Scheduler):
         allocator = self.allocator
         if allocator is None:
             return
-        self.map_epoch += 1
         owner = allocator.set_offline(core_id)
         if owner < 0:
             # a foreign core of another shard failed: platform events
@@ -406,7 +319,6 @@ class LAPSScheduler(Scheduler):
         allocator = self.allocator
         if allocator is None:
             return
-        self.map_epoch += 1
         owner = allocator.set_online(core_id, t_ns)
         if owner < 0:
             return  # foreign core (see on_core_down)
@@ -473,7 +385,6 @@ class LAPSScheduler(Scheduler):
         """Adopt a core another shard released at this barrier."""
         self.allocator.adopt(core_id, service_id, t_ns)
         self.map_tables[service_id].add_core(core_id)
-        self.map_epoch += 1
 
     def shard_revoke(self, core_id: int, t_ns: int) -> bool:
         """Release a core to the fleet; False when no longer safe
@@ -492,7 +403,6 @@ class LAPSScheduler(Scheduler):
         alloc.release(core_id)
         self.map_tables[owner].remove_core(core_id)
         self.stale_migrations_dropped += len(self.migration.drop_core(core_id))
-        self.map_epoch += 1
         return True
 
     # ------------------------------------------------------------------

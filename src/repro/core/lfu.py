@@ -109,33 +109,6 @@ class LFUCache:
         self.hits += 1
         return True
 
-    def merge_hits(self, keys, deltas) -> None:
-        """Apply *deltas* accumulated hits per resident key in one
-        bucket hop each — bit-identical to replaying the hits one by
-        one, provided *keys* are ordered by their **last** occurrence
-        in the original stream.
-
-        Why last-occurrence order suffices: a key's final FIFO position
-        inside its final frequency bucket is fixed by the moment it
-        last arrived there (its last hit); the intermediate single-step
-        hops of the scalar replay leave no trace once the key has moved
-        on.  So one ``count -> count+delta`` hop per key, applied in
-        the order of last hits, rebuilds the exact bucket contents,
-        FIFO order and running minimum of the scalar replay.  Callers
-        must not let any *other* arrival land in a merged key's final
-        bucket between the replayed window and the merge (the AFD
-        flushes pending merges before any structural operation).
-        """
-        counts = self._counts
-        total = 0
-        for key, delta in zip(keys, deltas):
-            count = counts[key]
-            counts[key] = count + delta
-            self._bucket_add(key, count + delta)
-            self._bucket_remove(key, count)
-            total += delta
-        self.hits += total
-
     def access(self, key: Hashable) -> tuple[bool, Hashable | None]:
         """Lookup-and-insert (the per-packet hardware operation).
 

@@ -11,8 +11,6 @@ be shifted to take the place of this ID"), shrinking the hash.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.incremental_hash import IncrementalHash
 from repro.errors import SchedulerError
 
@@ -22,7 +20,7 @@ __all__ = ["ServiceMapTable"]
 class ServiceMapTable:
     """One service's bucket list plus its incremental hash."""
 
-    __slots__ = ("service_id", "_cores", "_hash", "_cores_arr")
+    __slots__ = ("service_id", "_cores", "_hash")
 
     def __init__(self, service_id: int, initial_cores: list[int]) -> None:
         if not initial_cores:
@@ -34,10 +32,6 @@ class ServiceMapTable:
         self.service_id = service_id
         self._cores: list[int] = list(initial_cores)
         self._hash = IncrementalHash(len(initial_cores))
-        #: bucket list as int64, rebuilt lazily after add/remove (the
-        #: table only changes on grow/shrink, so lookup_batch must not
-        #: pay an O(cores) asarray per call)
-        self._cores_arr: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -56,13 +50,6 @@ class ServiceMapTable:
         """Target core for an already-CRC16-hashed flow key."""
         return self._cores[self._hash.bucket_of(hashed_key)]
 
-    def lookup_batch(self, hashed_keys):
-        """Vectorized :meth:`lookup` over a numpy int array."""
-        cores = self._cores_arr
-        if cores is None:
-            cores = self._cores_arr = np.asarray(self._cores, dtype=np.int64)
-        return cores[self._hash.bucket_of_batch(hashed_keys)]
-
     def bucket_of(self, hashed_key: int) -> int:
         """Bucket index (exposed for migration bookkeeping and tests)."""
         return self._hash.bucket_of(hashed_key)
@@ -77,7 +64,6 @@ class ServiceMapTable:
             )
         split = self._hash.grow()
         self._cores.append(core_id)
-        self._cores_arr = None
         return split
 
     def remove_core(self, core_id: int) -> None:
@@ -102,7 +88,6 @@ class ServiceMapTable:
         if idx != last:
             self._cores[idx], self._cores[last] = self._cores[last], self._cores[idx]
         self._cores.pop()
-        self._cores_arr = None
         self._hash.shrink()
 
     def remapped_fraction_on_grow(self, sample_hashes: list[int]) -> float:

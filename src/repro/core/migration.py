@@ -28,8 +28,7 @@ class MigrationTable:
     elephant by the queue drain time, so placement consults both.
     """
 
-    __slots__ = ("_capacity", "_entries", "_per_core", "insertions", "evictions",
-                 "epoch")
+    __slots__ = ("_capacity", "_entries", "_per_core", "insertions", "evictions")
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity <= 0:
@@ -39,10 +38,6 @@ class MigrationTable:
         self._per_core: dict[int, int] = {}
         self.insertions = 0
         self.evictions = 0
-        #: bumped on every mutation of the entry set or a pin target —
-        #: consumers caching a snapshot of the pinned-flow set (the
-        #: vectorized plan overlay) invalidate on mismatch
-        self.epoch = 0
 
     # ------------------------------------------------------------------
     @property
@@ -63,14 +58,6 @@ class MigrationTable:
         """(flow, core) pairs, oldest first."""
         return list(self._entries.items())
 
-    def flow_ids(self):
-        """View of the pinned flow ids (oldest first) — the sparse
-        overlay of a vectorized plan intersects arriving flows against
-        this set.  Any mutation of the table must be accompanied by a
-        ``map_epoch`` bump in the owning scheduler, or planned columns
-        built from a stale overlay would keep being consumed."""
-        return self._entries.keys()
-
     def pins_on(self, core_id: int) -> int:
         """Number of flows currently pinned to *core_id*."""
         return self._per_core.get(core_id, 0)
@@ -89,7 +76,6 @@ class MigrationTable:
         Re-adding an existing flow re-targets it in place.  Returns the
         flow id evicted to make room, or None.
         """
-        self.epoch += 1
         old = self._entries.get(flow_id)
         if old is not None:
             self._entries[flow_id] = core_id
@@ -111,7 +97,6 @@ class MigrationTable:
         core = self._entries.pop(flow_id, None)
         if core is None:
             return False
-        self.epoch += 1
         self._inc(core, -1)
         return True
 
@@ -119,21 +104,16 @@ class MigrationTable:
         """Remove every entry targeting *core_id* (the core left this
         service); returns the affected flow ids."""
         stale = [f for f, c in self._entries.items() if c == core_id]
-        if stale:
-            self.epoch += 1
         for f in stale:
             del self._entries[f]
         self._per_core.pop(core_id, None)
         return stale
 
     def clear(self) -> None:
-        if self._entries:
-            self.epoch += 1
         self._entries.clear()
         self._per_core.clear()
 
     def reset(self) -> None:
-        """Clear the entries and the statistics (``epoch`` stays
-        monotone, so cached snapshots still invalidate)."""
+        """Clear the entries and the statistics."""
         self.clear()
         self.insertions = self.evictions = 0

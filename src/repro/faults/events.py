@@ -29,10 +29,9 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from repro import units
 from repro.errors import ConfigError
+from repro.util.rng import make_rng
 
 __all__ = [
     "FaultEvent",
@@ -465,7 +464,7 @@ class FaultSchedule:
             # ``max_concurrent_failures or default`` silently replaced
             # it with the default and produced CoreFail events anyway
             cap = max_concurrent_failures
-        rng = np.random.default_rng(seed)
+        rng = make_rng(seed)
         events: list[FaultEvent] = []
         # a core is failed at most once per random schedule, which both
         # keeps the per-core fail/recover alternation trivially valid

@@ -28,10 +28,6 @@ __all__ = ["AdaptiveHashScheduler"]
 class AdaptiveHashScheduler(Scheduler):
     """Periodic bucket re-balancing from per-bucket packet counts."""
 
-    #: planned entries are pure table lookups (the rebalance boundary is
-    #: excluded from the plan), so spans may be drained batched
-    batch_static = True
-
     #: the periodic rebalance moves buckets from *global* per-bucket
     #: packet counts — a core-partitioned shard sees only its own
     #: packets, so its rebalances would diverge from a single-process
@@ -118,15 +114,13 @@ class AdaptiveHashScheduler(Scheduler):
         b2c = np.asarray(self._bucket_to_core, dtype=np.int64)
         return b2c[flow_hash[:cut] % nb]
 
-    def batch_commit(
-        self, flow_id: int, flow_hash: int, core: int, occupancy: int, t_ns: int
-    ) -> None:
+    def batch_commit(self, flow_id: int, flow_hash: int) -> None:
         """The unconditional per-packet work of ``select_core``: count
         the packet's bucket (the rebalance trigger can't fire inside a
         planned span, so only the increment is replicated)."""
         self._bucket_count[flow_hash % len(self._bucket_to_core)] += 1
 
-    def batch_commit_span(self, flow_id, flow_hash, core, occ, t_ns) -> None:
+    def batch_commit_span(self, flow_id, flow_hash) -> None:
         """Vectorized :meth:`batch_commit`: one bincount for the whole
         span instead of one list increment per packet.  Counts stay
         plain ints so the state remains bit-identical to scalar runs."""

@@ -55,9 +55,8 @@ class Scheduler(ABC):
 
     **Map-epoch protocol** (the vectorized fast path): ``map_epoch`` is
     a monotone counter that the scheduler bumps on *every* mutation of
-    whatever tables :meth:`assign_batch` reads — map-table grow/shrink,
-    migration-table insert/evict/prune, rebalance, core donation,
-    ``core_down``/``core_up`` reactions, and :meth:`bind` itself.  The
+    whatever tables :meth:`assign_batch` reads — a rebalance, a
+    ``core_down``/``core_up`` reaction, and :meth:`bind` itself.  The
     kernel precomputes a ``core_of`` column from :meth:`assign_batch`
     and keeps consuming it only while ``map_epoch`` is unchanged; any
     bump invalidates the column and the remaining suffix is
@@ -69,48 +68,21 @@ class Scheduler(ABC):
     #: Registry name (set on subclasses via :func:`register_scheduler`).
     name: str = "?"
 
-    #: Queue-occupancy threshold above which a batch-planned assignment
-    #: must be re-taken through :meth:`select_core` (the planned entry
-    #: is only valid for a non-overloaded target).  ``None`` means
-    #: planned entries are unconditionally valid.
-    batch_guard: int | None = None
-
-    #: Per-packet side-effect hook
-    #: ``(flow_id, flow_hash, core, occupancy, t_ns)`` the kernel calls
-    #: for every *consumed* batch entry, replicating the unconditional
-    #: bookkeeping ``select_core`` would have done (LAPS's AFD observe +
-    #: allocator quietness, adaptive-hash's bucket counts).  ``None``
-    #: when the scheduler has no such per-packet state.  ``occupancy``
-    #: is the guard's queue reading, or ``-1`` when ``batch_guard`` is
-    #: ``None`` (no occupancy was read).
-    batch_commit: Callable[[int, int, int, int, int], None] | None = None
-
-    #: Declares that :meth:`assign_batch` entries depend **only** on the
-    #: packet columns and the scheduler's tables — never on live queue
-    #: occupancy or arrival-interleaved timing — so a planned span stays
-    #: exact while ``map_epoch`` holds, whatever completions happen in
-    #: between.  This is the entry ticket to the batched span drain
-    #: (:mod:`repro.sim.events.span`): the kernel only attempts a drain
-    #: when the scheduler sets this ``True`` (hash-static, rss-static,
-    #: adaptive-hash, laps).  Sprinklers keeps a column-only plan: the
-    #: arrival loop consumes its column, but it never enters the drain.
-    #: Schedulers without a plan (fcfs, topk, afs, flow-director,
-    #: flowlet) run ``select_core`` on both paths.  A batch-static
-    #: scheduler that sets :attr:`batch_commit` must also set
-    #: :attr:`batch_commit_span` — the span driver calls only the span
-    #: form.
-    batch_static: bool = False
+    #: Per-packet side-effect hook ``(flow_id, flow_hash)`` the kernel
+    #: calls for every *consumed* plan entry outside the span drain,
+    #: replicating the unconditional bookkeeping ``select_core`` would
+    #: have done (adaptive-hash's bucket counts).  ``None`` when the
+    #: scheduler has no such per-packet state.
+    batch_commit: Callable[[int, int], None] | None = None
 
     #: Vectorized sibling of :attr:`batch_commit`:
-    #: ``(flow_id_arr, flow_hash_arr, core_arr, occ_arr, t_arr)`` —
-    #: aligned numpy arrays covering one committed span in arrival
-    #: order.  Must be observably equivalent to calling
-    #: :attr:`batch_commit` element-by-element in order, and must not
-    #: bump ``map_epoch`` (a committed span is already dispatched;
-    #: invalidating it retroactively is a contract violation).
-    #: ``occ_arr`` holds the per-packet guard readings when
-    #: :attr:`batch_guard` is set, else ``-1``.  ``None`` when the
-    #: scheduler has no per-packet bookkeeping to commit.
+    #: ``(flow_id_arr, flow_hash_arr)`` — aligned numpy arrays covering
+    #: one committed span in arrival order.  Must be observably
+    #: equivalent to calling :attr:`batch_commit` element-by-element in
+    #: order, and must not bump ``map_epoch`` (a committed span is
+    #: already dispatched; invalidating it retroactively is a contract
+    #: violation).  Every plan rides the span drain, so a scheduler
+    #: that sets :attr:`batch_commit` must set this too.
     batch_commit_span: Callable[..., None] | None = None
 
     def __init__(self) -> None:
@@ -122,23 +94,19 @@ class Scheduler(ABC):
     def shard_static(self) -> bool:
         """True when the full assignment is a pure static function of
         the packet columns and the post-``bind`` tables — no occupancy
-        guard, no timer, no rebalance — so a core-partitioned sharded
+        read, no timer, no rebalance — so a core-partitioned sharded
         run can reproduce a single-process run bit for bit.
 
-        Derived by default: ``batch_static`` with no ``batch_guard``
-        and a real :meth:`assign_batch`.  Subclasses whose tables move
-        for reasons the derivation cannot see (adaptive-hash's periodic
+        Derived by default: the scheduler has a plan (a real
+        :meth:`assign_batch`).  Subclasses whose tables move for
+        reasons the derivation cannot see (adaptive-hash's periodic
         rebalance reads global per-bucket counts) override this with a
         plain ``shard_static = False`` class attribute; the sharded
         runner additionally verifies at run end that ``map_epoch``
         never moved after bind, so a wrong ``True`` fails loudly, never
         silently.
         """
-        return (
-            self.batch_static
-            and self.batch_guard is None
-            and type(self).assign_batch is not Scheduler.assign_batch
-        )
+        return type(self).assign_batch is not Scheduler.assign_batch
 
     # ------------------------------------------------------------------
     def bind(self, loads: LoadView) -> None:
@@ -175,12 +143,11 @@ class Scheduler(ABC):
         * the result may be a **prefix** — any length ``<= len(input)``
           is valid; the kernel falls back to :meth:`select_core` past
           the end (and replans after the next epoch bump);
-        * an entry of ``-1`` means "this packet needs the scalar path"
-          (e.g. a stale migration pin whose removal is a side effect);
-        * entries are exact under two conditions the kernel enforces:
-          ``map_epoch`` has not changed since planning, and — when
-          ``batch_guard`` is set — the target's queue occupancy at
-          dispatch is below the guard;
+        * every entry is a valid core, exact while ``map_epoch`` has
+          not changed since planning;
+        * entries never depend on queue occupancy or on when
+          completions happen, so a plan may be drained as a whole
+          span (:mod:`repro.sim.events.span`);
         * planning itself must be idempotent: calling this twice over
           overlapping spans must leave the scheduler in the same state
           as calling it once.

@@ -18,9 +18,6 @@ __all__ = ["StaticHashScheduler"]
 class StaticHashScheduler(Scheduler):
     """``hash % n`` with no load balancing whatsoever."""
 
-    #: the plan is the modulus itself — trivially static, span-drainable
-    batch_static = True
-
     def select_core(
         self, flow_id: int, service_id: int, flow_hash: int, t_ns: int
     ) -> int:

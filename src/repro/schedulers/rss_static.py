@@ -39,9 +39,6 @@ class RSSStaticScheduler(Scheduler):
     exist.
     """
 
-    #: the indirection table never changes after bind: span-drainable
-    batch_static = True
-
     def __init__(
         self,
         key: bytes | None = None,

@@ -25,8 +25,6 @@ reorder) and ``fcfs`` (full balance, full reorder) by construction.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.schedulers.base import Scheduler, register_scheduler
 
@@ -90,8 +88,7 @@ class SprinklersScheduler(Scheduler):
 
     def _advance(self, flow_id: int) -> None:
         """The unconditional per-packet bookkeeping: count the packet
-        and account stripe widenings (shared by the scalar path and
-        :meth:`batch_commit`, so the twins stay bit-identical)."""
+        and account stripe widenings."""
         c = self._count.get(flow_id, 0)
         self._count[flow_id] = c + 1
         if self._width(c + 1) > self._width(c):
@@ -103,54 +100,6 @@ class SprinklersScheduler(Scheduler):
         core = self._core_for(flow_hash, self._count.get(flow_id, 0))
         self._advance(flow_id)
         return core
-
-    def assign_batch(self, flow_hash, service_id, flow_id, arrival_ns):
-        """Vectorized striping over the span.
-
-        The per-packet position within each flow is reconstructed as
-        (committed count so far) + (rank within the span), so planning
-        never mutates the counts — :meth:`batch_commit` advances them
-        one consumed packet at a time, which keeps a mid-span replan
-        (and the scalar fallback past the column) exact.  The stripe
-        layout itself is static, so ``map_epoch`` never bumps after
-        bind and columns die only of natural causes.
-        """
-        n = len(flow_id)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        fids = flow_id[:n]
-        order = np.argsort(fids, kind="stable")
-        sf = fids[order]
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = sf[1:] != sf[:-1]
-        run_of = np.cumsum(new_run) - 1
-        run_starts = np.nonzero(new_run)[0]
-        get = self._count.get
-        base = np.fromiter(
-            (get(f, 0) for f in sf[run_starts].tolist()),
-            dtype=np.int64,
-            count=len(run_starts),
-        )
-        counts = np.empty(n, dtype=np.int64)
-        counts[order] = base[run_of] + (np.arange(n, dtype=np.int64) - run_starts[run_of])
-        # width per packet: unrolled doubling ladder (log2(cap) steps)
-        c_over = counts // self.width_threshold
-        w = np.ones(n, dtype=np.int64)
-        cap = self._width_cap
-        for _ in range(cap.bit_length() - 1):
-            grow = (w < cap) & (c_over >= w * w)
-            if not grow.any():
-                break
-            w = np.where(grow, w << 1, w)
-        ncores = self.loads.num_cores
-        member = (counts // self.stripe_chunk) % w
-        return (flow_hash[:n] % ncores + member) % ncores
-
-    def batch_commit(
-        self, flow_id: int, flow_hash: int, core: int, occupancy: int, t_ns: int
-    ) -> None:
-        self._advance(flow_id)
 
     def stats(self) -> dict[str, float]:
         return {"stripes_widened": self.stripes_widened}

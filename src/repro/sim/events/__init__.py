@@ -1,14 +1,14 @@
 """The event core: one heap queue, two paths over it.
 
 * :mod:`repro.sim.events.base` — the binary-heap :class:`EventQueue`
-  and the :class:`EventSnapshot` that checkpoint blob v4 stores instead
-  of a live queue;
+  and the :class:`EventSnapshot` that checkpoint blobs (since v4) store
+  instead of a live queue;
 * :mod:`repro.sim.events.backend` — :func:`simulate_core`, the span
   drain's per-core phase-1 recurrence;
 * :mod:`repro.sim.events.span` — the batched arrival/departure drain
   that consumes a planned scheduler column without per-packet event
   pushes, falling back to scalar dispatch whenever a hook, fault
-  event, guard trip or ordering ambiguity makes batching inexact.
+  event or ordering ambiguity makes batching inexact.
 
 The kernel runs the span drain on the vectorized path (the default) and
 the per-packet heap closures alone on the scalar oracle

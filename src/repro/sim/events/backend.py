@@ -34,7 +34,6 @@ def simulate_core(
     flow_last,   # [n_flows] dense last-core overlay (mutated)
     migrated,    # [n_flows] migration flags 0/1 (mutated)
     last_sid,    # core_last_service at span start
-    guard,       # occupancy guard (a huge value when unguarded)
     cap,         # queue capacity
     fm_pen,
     cc_pen,
@@ -45,15 +44,13 @@ def simulate_core(
     kind_buf,    # 1 = started on an idle-core arrival, 0 = queue pop
     drop_buf,    # dropped row ids, first n_drops valid
     queue_buf,   # FIFO ring storage
-    occ_buf,     # [span rows] pre-offer occupancy per admitted arrival
     out,         # [OUT_SLOTS] scalar outputs (see unpacking in span.py)
 ):
     """One core's span recurrence: admit / drop / start / complete.
 
     Bit-for-bit the scalar kernel's per-core behaviour: completions at
-    or before an arrival instant drain first, the guard is read on the
-    pre-offer occupancy, a full queue drops, an idle core starts the
-    arrival immediately, and after the last arrival completions keep
+    or before an arrival instant drain first, a full queue drops, an
+    idle core starts the arrival immediately, and after the last arrival completions keep
     chaining up to *t_h* (the global arrival loop would have drained
     them inside the span).  Flow-migration and cold-cache penalties
     mutate the replicated ``flow_last``/``last_sid`` copies exactly as
@@ -82,7 +79,6 @@ def simulate_core(
     busy_add = 0
     n_drops = 0
     max_occ = 0
-    trip = -1
     r = n_pre
     while r < n_rows:
         t = arr_t[r]
@@ -115,12 +111,6 @@ def simulate_core(
             else:
                 cur = -1
         occ = tail - head
-        if occ >= guard:
-            trip = r
-            break
-        # the occupancy the scalar guard/commit would have read for
-        # this arrival (pre-offer, post-drain)
-        occ_buf[r - n_pre] = occ
         if cur >= 0:
             if occ >= cap:
                 drop_buf[n_drops] = r
@@ -198,12 +188,11 @@ def simulate_core(
     out[8] = busy_add
     out[9] = n_drops
     out[10] = max_occ
-    out[11] = trip
-    out[12] = last_sid
+    out[11] = last_sid
 
 
 #: scalar-output slot count for the ``out`` buffer above
-OUT_SLOTS = 13
+OUT_SLOTS = 12
 
 
 class NumpyBackend:

@@ -30,12 +30,10 @@ provably identical, and otherwise *bails* to scalar dispatch:
   another — the relative order of their flow-state writes would be
   cross-core — bail;
 * a zero nominal service time (completions could tie their own
-  starts) — bail;
-* a planned ``-1`` sentinel — truncate the span before it;
-* a ``batch_guard`` trip — truncate the span to the first tripping
-  arrival and re-run phase 1 (rows before the trip are unaffected; the
-  tripping arrival reruns scalar, exactly as the PR 5 guard contract
-  prescribes).
+  starts) — bail.
+
+A plan never reads queue occupancy (the ``assign_batch`` contract), so
+once a span passes these checks every planned row commits.
 
 **Exact event seqs.**  The scalar loop pushes one completion event per
 started packet, seq-numbered in global start order, and a checkpoint
@@ -74,20 +72,16 @@ __all__ = ["SpanDriver"]
 _MIN_SPAN = 64
 
 #: after a bail, retry the span path once this many scalar arrivals
-#: later (a bail cause is usually transient: a guard episode, a
-#: sentinel, a conflicting leftover in a queue).  Kept small — the
-#: kernel doubles it per consecutive bail up to its ceiling, so
-#: persistent bail causes still settle at a cheap cadence while a
-#: one-packet guard episode no longer costs hundreds of scalar
-#: arrivals
+#: later (a bail cause is often transient: a flow still resident on
+#: another core, a replan boundary).  Kept small — the kernel doubles
+#: it per consecutive bail up to its ceiling, so persistent bail
+#: causes still settle at a cheap cadence while a short episode does
+#: not cost hundreds of scalar arrivals
 RETRY_STRIDE = 64
 
-_NO_GUARD = 1 << 60
-
-#: adaptive span-cap bounds (see ``SpanDriver._cap``)
-_CAP_INIT = 2048
-_CAP_MIN = 512
-_CAP_MAX = 1 << 14
+#: spans longer than this are split: a work bound only, committed
+#: results are identical for any attempt size
+_MAX_SPAN = 1 << 14
 
 
 class SpanDriver:
@@ -116,13 +110,6 @@ class SpanDriver:
         #: the bench report's plan/drain/commit breakdown.
         self.drain_ns = 0
         self.commit_ns = 0
-        #: adaptive attempt-size cap (AIMD): a guard trip re-runs
-        #: phase 1 truncated, so oversizing an attempt during an
-        #: overload episode costs the whole surplus — shrink toward the
-        #: observed trip distance on a trip, double back on a clean
-        #: commit that filled the cap.  Purely a work bound; committed
-        #: results are identical for any attempt size.
-        self._cap = _CAP_INIT
 
     # ------------------------------------------------------------------
     def attempt(self, k, li: int, horizon_ns: int) -> int:
@@ -142,8 +129,8 @@ class SpanDriver:
         cfg = k.config
         sched = k.scheduler
 
-        # the kernel attempts spans only for batch_static schedulers,
-        # whose per-packet bookkeeping (if any) has a span form
+        # the kernel attempts spans for every scheduler with a plan;
+        # its per-packet bookkeeping (if any) has a span form
         commit_span = sched.batch_commit_span
         if st.killed_pkts or k.injector is not None:
             return li
@@ -199,16 +186,9 @@ class SpanDriver:
         )
         if hi - li < _MIN_SPAN:
             return li
-        if hi - li > self._cap:
-            hi = li + self._cap
+        if hi - li > _MAX_SPAN:
+            hi = li + _MAX_SPAN
         cores = np.asarray(k._col_arr[li - cl : hi - cl], dtype=np.int64)
-        neg = np.nonzero(cores < 0)[0]
-        if neg.size:
-            hi = li + int(neg[0])
-            if hi - li < _MIN_SPAN:
-                return li
-            cores = cores[: hi - li]
-        span_n = hi - li
 
         base = win.base
         arr_span = arrival[li:hi]
@@ -256,8 +236,6 @@ class SpanDriver:
         uniq_list = uniq.tolist()
         init_last = [flow_last_core[f] for f in uniq_list]
 
-        guard = sched.batch_guard
-        guard_val = guard if guard is not None else _NO_GUARD
         cap = cfg.queue_capacity
         fm_pen = cfg.fm_penalty_ns
         cc_pen = cfg.cc_penalty_ns
@@ -272,78 +250,50 @@ class SpanDriver:
         fn = self._fn
         last_service = st.core_last_service
 
-        def run_phase1(S: int):
-            """Phase 1 over span prefix [0, S): pure, committable."""
-            t_h = int(arr_span[S - 1])
-            flow_last = list(init_last)
-            migrated = [0] * len(init_last)
-            per_core = []
-            for c in range(n_cores):
-                rows_all = order[bounds[c] : bounds[c + 1]]
-                cut = int(np.searchsorted(rows_all, S))
-                rows_c = rows_all[:cut]
-                n_pre_c = len(pre_pkts[c])
-                hb = 1 if core_busy[c] else 0
-                n_rows = n_pre_c + rows_c.size
-                if n_rows == 0:
-                    per_core.append(None)
-                    continue
-                p_lo, p_hi = int(pre_off[c]), int(pre_off[c + 1])
-                lrow = np.concatenate([pre_lrow[p_lo:p_hi], li + rows_c])
-                arr_t = np.concatenate(
-                    [np.zeros(n_pre_c, dtype=np.int64), arr_span[rows_c]]
-                )
-                proc = nominal[lrow]
-                sid = sid_win[lrow].astype(np.int64)
-                floc = np.concatenate([inv_pre[p_lo:p_hi], inv_span[rows_c]])
-                busy_fin = busy_ev[c][0] if hb else 0
-                nb = n_rows + 1
-                order_buf = [0] * nb
-                fin_buf = [0] * nb
-                kind_buf = [0] * nb
-                drop_buf = [0] * nb
-                queue_buf = [0] * nb
-                occ_buf = [0] * (rows_c.size + 1)
-                out = [0] * OUT_SLOTS
-                fn(
-                    c, n_rows, n_pre_c, hb, busy_fin,
-                    arr_t.tolist(), proc.tolist(), sid.tolist(), floc.tolist(),
-                    flow_last, migrated,
-                    last_service[c], guard_val, cap, fm_pen, cc_pen, t_h,
-                    order_buf, fin_buf, kind_buf, drop_buf, queue_buf,
-                    occ_buf, out,
-                )
-                per_core.append(
-                    (rows_c, lrow, order_buf, fin_buf, kind_buf,
-                     drop_buf, queue_buf, occ_buf, out)
-                )
-            return t_h, flow_last, migrated, per_core
-
-        S = span_n
+        # ==============================================================
+        # Phase 1: per-core recurrences over replicated flow state.
+        # ==============================================================
         t_drain0 = time.perf_counter_ns()
-        t_h, flow_last, migrated, per_core = run_phase1(S)
-        self.drain_ns += time.perf_counter_ns() - t_drain0
-
-        # guard trip: truncate to the first tripping arrival and re-run
-        trip_rows = []
+        t_h = int(arr_span[-1])
+        flow_last = list(init_last)
+        migrated = [0] * len(init_last)
+        per_core = []
         for c in range(n_cores):
-            r = per_core[c]
-            if r is not None and r[8][11] >= 0:
-                n_pre_c = len(pre_pkts[c])
-                trip_rows.append(int(r[0][r[8][11] - n_pre_c]))
-        if trip_rows:
-            S = min(trip_rows)
-            # shrink the next attempt toward the observed trip
-            # distance: re-running past it is pure waste
-            self._cap = max(_CAP_MIN, 1 << max(S, 1).bit_length())
-            if S < _MIN_SPAN:
-                return li
-            t_drain0 = time.perf_counter_ns()
-            t_h, flow_last, migrated, per_core = run_phase1(S)
-            self.drain_ns += time.perf_counter_ns() - t_drain0
-            for r in per_core:
-                if r is not None and r[8][11] >= 0:  # pragma: no cover
-                    return li  # defensive: a re-run must not trip
+            rows_c = order[bounds[c] : bounds[c + 1]]
+            n_pre_c = len(pre_pkts[c])
+            hb = 1 if core_busy[c] else 0
+            n_rows = n_pre_c + rows_c.size
+            if n_rows == 0:
+                per_core.append(None)
+                continue
+            p_lo, p_hi = int(pre_off[c]), int(pre_off[c + 1])
+            lrow = np.concatenate([pre_lrow[p_lo:p_hi], li + rows_c])
+            arr_t = np.concatenate(
+                [np.zeros(n_pre_c, dtype=np.int64), arr_span[rows_c]]
+            )
+            proc = nominal[lrow]
+            sid = sid_win[lrow].astype(np.int64)
+            floc = np.concatenate([inv_pre[p_lo:p_hi], inv_span[rows_c]])
+            busy_fin = busy_ev[c][0] if hb else 0
+            nb = n_rows + 1
+            order_buf = [0] * nb
+            fin_buf = [0] * nb
+            kind_buf = [0] * nb
+            drop_buf = [0] * nb
+            queue_buf = [0] * nb
+            out = [0] * OUT_SLOTS
+            fn(
+                c, n_rows, n_pre_c, hb, busy_fin,
+                arr_t.tolist(), proc.tolist(), sid.tolist(), floc.tolist(),
+                flow_last, migrated,
+                last_service[c], cap, fm_pen, cc_pen, t_h,
+                order_buf, fin_buf, kind_buf, drop_buf, queue_buf, out,
+            )
+            per_core.append(
+                (rows_c, lrow, order_buf, fin_buf, kind_buf,
+                 drop_buf, queue_buf, out)
+            )
+        self.drain_ns += time.perf_counter_ns() - t_drain0
 
         # ==============================================================
         # Phase 2: commit.  From here on nothing can bail.
@@ -365,7 +315,7 @@ class SpanDriver:
                 ends.append(None)
                 continue
             rows_c, lrow, order_buf, fin_buf, kind_buf = r[0], r[1], r[2], r[3], r[4]
-            out = r[8]
+            out = r[7]
             served, n_dep = out[0], out[1]
             e_row = np.asarray(order_buf[:served], dtype=np.int64)
             e_fin = np.asarray(fin_buf[:served], dtype=np.int64)
@@ -502,7 +452,7 @@ class SpanDriver:
             r = per_core[c]
             if r is None:
                 continue
-            nd = r[8][9]
+            nd = r[7][9]
             if nd:
                 n_pre_c = len(pre_pkts[c])
                 rows_c = r[0]
@@ -522,9 +472,9 @@ class SpanDriver:
 
         # -- metrics counters ------------------------------------------
         metrics = st.metrics
-        metrics.generated += S
+        metrics.generated += hi - li
         gen_counts = np.bincount(
-            win.service_id[li : li + S], minlength=metrics.num_services
+            win.service_id[li:hi], minlength=metrics.num_services
         )
         gps = metrics.generated_per_service
         for s_id in np.nonzero(gen_counts)[0].tolist():
@@ -542,7 +492,7 @@ class SpanDriver:
             r = per_core[c]
             if r is None:
                 continue
-            out = r[8]
+            out = r[7]
             busy_ns[c] += out[8]
             metrics.flow_migration_events += out[6]
             metrics.cold_cache_events += out[7]
@@ -585,7 +535,7 @@ class SpanDriver:
                 continue
             r, e_row, e_fin, e_kind, s0, ns_c, started_off = info
             rows_c, lrow = r[0], r[1]
-            out = r[8]
+            out = r[7]
             served, cur = out[0], out[2]
             head, tail = out[4], out[5]
             q = queues[c]
@@ -597,7 +547,7 @@ class SpanDriver:
             occ[c] = len(items)
             if out[10] > q.peak:
                 q.peak = out[10]
-            last_service[c] = out[12]
+            last_service[c] = out[11]
             if cur >= 0:
                 pkt = int(base + lrow[cur])
                 core_busy[c] = True
@@ -623,33 +573,12 @@ class SpanDriver:
 
         # -- scheduler per-packet bookkeeping --------------------------
         if commit_span is not None:
-            if guard is not None:
-                occs = np.empty(S, dtype=np.int64)
-                for c in range(n_cores):
-                    r = per_core[c]
-                    if r is None:
-                        continue
-                    rows_c = r[0]
-                    if rows_c.size:
-                        occs[rows_c] = np.asarray(
-                            r[7][: rows_c.size], dtype=np.int64
-                        )
-            else:
-                occs = np.full(S, -1, dtype=np.int64)
-            commit_span(
-                win.flow_id[li : li + S],
-                win.flow_hash[li : li + S],
-                cores[:S],
-                occs,
-                arr_span[:S],
-            )
+            commit_span(win.flow_id[li:hi], win.flow_hash[li:hi])
 
         self.commit_ns += time.perf_counter_ns() - t_commit0
         self.spans_committed += 1
-        self.packets_spanned += S
-        if not trip_rows and S == self._cap and self._cap < _CAP_MAX:
-            self._cap *= 2  # clean full-cap commit: probe larger spans
-        return li + S
+        self.packets_spanned += hi - li
+        return hi
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -95,23 +95,23 @@ __all__ = ["SimState", "SimKernel", "Checkpoint", "CHECKPOINT_VERSION"]
 #: v4: ``SimState.events`` is serialized as an
 #: :class:`~repro.sim.events.base.EventSnapshot` (the pending entries
 #: and tie-break bookkeeping) rather than a live queue object.
-CHECKPOINT_VERSION = 4
+#: v5: LAPS's pickled tables lost their plan caches
+#: (``MigrationTable.epoch``, ``ServiceMapTable._cores_arr``), so a v4
+#: blob no longer unpickles.
+CHECKPOINT_VERSION = 5
 
 #: local-index stride the arrival loop converts to plain Python lists
 #: at a time — bounds resident unboxed columns to O(segment) for any
-#: window size (a whole-window tolist would undo PR 4's memory bounds)
-_SEGMENT = 65_536
+#: window size.  Kept small: every committed span invalidates the
+#: unboxed segment and the scalar stretches between spans are short (a
+#: retry stride), so a large segment would cost more to unbox than the
+#: scalar packets it feeds
+_SEGMENT = 4_096
 
-#: segment stride while the span drain is live: every committed span
-#: invalidates the unboxed segment, and the scalar stretches between
-#: spans are short (a retry stride, a guard episode), so unboxing the
-#: full 65k-row segment per stretch would cost more than the scalar
-#: packets it feeds — spans with a drain active unbox small slices
-_SPAN_SEGMENT = 4_096
-
-#: ceiling for the exponential span-retry backoff: guard-heavy
-#: schedulers in sustained overload settle at one (cheap, bailed)
-#: attempt per ~16k arrivals instead of one per RETRY_STRIDE
+#: ceiling for the exponential span-retry backoff: a run whose spans
+#: keep bailing (an attached injector or probe bails every attempt)
+#: settles at one cheap attempt per ~16k arrivals instead of one per
+#: RETRY_STRIDE
 _MAX_RETRY_STRIDE = 16_384
 
 #: cap on how far ahead one assign_batch plan reaches; bounds both the
@@ -747,15 +747,9 @@ class SimKernel:
         occ = queues.occ
         ev_heap = st.events.heap  # mutated in place; identity is stable
         batch_on = self._batch_on
-        # the span drain commits only static plans: skip the attempts
-        # outright for schedulers whose plans are not batch-static
-        span = (
-            self._span
-            if batch_on and getattr(sched, "batch_static", False)
-            else None
-        )
+        # every plan rides the span drain
+        span = self._span if batch_on else None
         sel = sched.select_core
-        guard = sched.batch_guard
         commit = sched.batch_commit
         while True:
             if self._start_packet is None:
@@ -811,7 +805,7 @@ class SimKernel:
                             span_stride *= 2
                     if li >= seg_hi:
                         seg_lo = li
-                        seg_hi = li + (_SEGMENT if span is None else _SPAN_SEGMENT)
+                        seg_hi = li + _SEGMENT
                         if seg_hi > n_local:
                             seg_hi = n_local
                         arr_seg = arrival[seg_lo:seg_hi].tolist()
@@ -846,21 +840,8 @@ class SimKernel:
                             plan_li = self._col_plan_li
                         if cl <= li < ch:
                             core = col[li - cl]
-                            if core < 0:
-                                # sentinel: this packet needs the
-                                # scalar path (e.g. stale pin pruning)
-                                core = sel(flow_seg[k], sid, hash_seg[k], t)
-                            elif guard is not None:
-                                load = occ[core]
-                                if load >= guard:
-                                    # overloaded target: the planned
-                                    # entry is invalid, run the real
-                                    # balancer
-                                    core = sel(flow_seg[k], sid, hash_seg[k], t)
-                                elif commit is not None:
-                                    commit(flow_seg[k], hash_seg[k], core, load, t)
-                            elif commit is not None:
-                                commit(flow_seg[k], hash_seg[k], core, -1, t)
+                            if commit is not None:
+                                commit(flow_seg[k], hash_seg[k])
                         else:
                             core = sel(flow_seg[k], sid, hash_seg[k], t)
                     else:
@@ -1072,7 +1053,7 @@ class SimKernel:
             }
         st = self.state
         payload = (st, self.scheduler, self.injector, extras)
-        # v4: the blob stores the EventSnapshot, not the live queue
+        # the blob stores the EventSnapshot (since v4), not the live queue
         live_events = st.events
         st.events = live_events.snapshot()
         try:

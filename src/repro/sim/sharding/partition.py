@@ -13,9 +13,9 @@ vectorized plan over a pristine copy bound to an all-idle load view:
 for a ``shard_static`` scheduler the planned core of every packet *is*
 the core the real run will choose, so "packets of core group G" is a
 pure function of the packet columns.  The planning copy must never
-mutate its tables — a ``map_epoch`` bump or a ``-1`` entry during
-planning means the scheduler is not statically partitionable and
-raises immediately.
+mutate its tables — a ``map_epoch`` bump or an out-of-range core
+during planning means the scheduler is not statically partitionable
+and raises immediately.
 """
 
 from __future__ import annotations
@@ -160,9 +160,7 @@ class CorePartitionSource(_FilteredSource):
             pos += m
         if (cores < 0).any() or (cores >= self._num_cores).any():
             raise SimulationError(
-                f"scheduler {sched.name!r} planned an out-of-range or "
-                "scalar-path core; core partitioning requires a fully "
-                "static plan"
+                f"scheduler {sched.name!r} planned an out-of-range core"
             )
         return self._member[cores]
 

@@ -11,9 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = ["make_rng", "spawn_rngs"]
 
 SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
+
+
+def _check_seed(seed) -> None:
+    """Reject a negative integer seed up front: numpy's own message
+    (``expected non-negative integer``) names neither the seed nor its
+    value."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 
 def make_rng(seed: int | np.random.Generator | np.random.SeedSequence | None = None) -> np.random.Generator:
@@ -24,6 +34,7 @@ def make_rng(seed: int | np.random.Generator | np.random.SeedSequence | None = N
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -44,4 +55,5 @@ def spawn_rngs(
         return list(seed.spawn(n))
     if isinstance(seed, np.random.SeedSequence):
         return [np.random.default_rng(s) for s in seed.spawn(n)]
+    _check_seed(seed)
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]

@@ -162,34 +162,3 @@ class TestResizeAndDiagnostics:
 
     def test_remapped_fraction_empty(self):
         assert IncrementalHash(4).remapped_fraction([]) == 0.0
-
-
-class TestBatchScalarContract:
-    def test_negative_batch_key_rejected_like_scalar(self):
-        """Regression: the vectorized path silently accepted negative
-        hashes (Python ``%`` keeps them in range) where ``bucket_of``
-        raises — the twin paths must reject identical inputs."""
-        import numpy as np
-
-        h = IncrementalHash(4)
-        with pytest.raises(ValueError):
-            h.bucket_of(-1)
-        with pytest.raises(ValueError):
-            h.bucket_of_batch(np.array([3, -1, 7]))
-
-    def test_batch_matches_scalar_after_resizes(self):
-        import numpy as np
-
-        h = IncrementalHash(4)
-        for _ in range(5):
-            h.grow()
-        h.shrink()
-        keys = np.arange(1000)
-        batch = h.bucket_of_batch(keys)
-        assert batch.tolist() == [h.bucket_of(int(k)) for k in keys]
-
-    def test_empty_batch(self):
-        import numpy as np
-
-        h = IncrementalHash(4)
-        assert h.bucket_of_batch(np.array([], dtype=np.int64)).size == 0

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import units
 from repro.core.afd import AFDConfig
 from repro.core.laps import LAPSConfig, LAPSScheduler
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchedulerError
+from repro.experiments import tournament
+from repro.sim.system import simulate
 
 
 class FakeLoads:
@@ -62,6 +65,18 @@ class TestBind:
         sched.bind(FakeLoads(8))
         assert len(sched.migration) == 0
         assert sched.afd.observed == 0
+
+    def test_service_without_map_table_is_named(self):
+        """A 4-service workload under a 2-service LAPS fails on the
+        first packet of service 2 with an error naming the service and
+        the config knob, not a bare ``KeyError: 2``."""
+        wl = tournament._zoo_workload("G1", 0.5, units.ms(0.5), 2000, 0, "none")
+        sched = LAPSScheduler(LAPSConfig(num_services=2))
+        with pytest.raises(
+            SchedulerError,
+            match=r"service 2 has no map table.*LAPSConfig\(num_services=2\)",
+        ):
+            simulate(wl, sched, tournament._zoo_config())
 
 
 class TestSteadyState:

@@ -93,29 +93,3 @@ class TestDiagnostics:
         table = ServiceMapTable(0, [1, 2, 3, 4])
         frac = table.remapped_fraction_on_grow(list(range(2000)))
         assert 0 < frac < 0.25
-
-
-class TestLookupBatchCache:
-    def test_batch_matches_scalar_through_mutations(self):
-        """Regression: ``lookup_batch`` caches the core array; the
-        cache must be invalidated by every mutation (``add_core`` /
-        ``remove_core``) or lookups would return stale cores."""
-        import numpy as np
-
-        table = ServiceMapTable(0, [10, 11, 12])
-        keys = np.arange(500)
-
-        def check():
-            batch = table.lookup_batch(keys)
-            assert batch.dtype == np.int64
-            assert batch.tolist() == [table.lookup(int(k)) for k in keys]
-
-        check()                  # populates the cache
-        check()                  # served from the cache, bit-identical
-        table.add_core(13)
-        check()                  # cache invalidated by add_core
-        table.remove_core(11)
-        check()                  # ...and by remove_core
-        table.add_core(14)
-        table.add_core(15)
-        check()

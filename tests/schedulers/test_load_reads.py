@@ -121,7 +121,6 @@ def _thresholds(sched: Scheduler) -> set[int]:
     values = {
         getattr(sched, "high_threshold", None),
         getattr(sched, "rebind_threshold", None),
-        sched.batch_guard,
         getattr(getattr(sched, "config", None), "high_threshold", None),
     }
     return {v for v in values if isinstance(v, int)}

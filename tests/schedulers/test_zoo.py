@@ -193,30 +193,6 @@ class TestSprinklers:
         seq_loaded = [loaded.select_core(5, 0, 40, t) for t in range(20)]
         assert seq_idle == seq_loaded
 
-    def test_batch_reconstructs_interleaved_counts(self):
-        sched, _ = self.make()
-        # interleave two flows; committed counts must line up exactly
-        flow_id = np.array([1, 2, 1, 2, 1, 1, 2, 1], dtype=np.int64)
-        flow_hash = flow_id * 3
-        zeros = np.zeros(len(flow_id), dtype=np.int64)
-        planned = sched.assign_batch(flow_hash, zeros, flow_id, zeros)
-        scalar = [
-            sched.select_core(int(f), 0, int(h), 0)
-            for f, h in zip(flow_id, flow_hash)
-        ]
-        assert planned.tolist() == scalar
-
-    def test_batch_respects_committed_counts(self):
-        sched, _ = self.make()
-        for t in range(5):  # commit 5 packets of flow 7 (width now 2)
-            sched.select_core(7, 0, 21, t)
-        flow_id = np.full(4, 7, dtype=np.int64)
-        flow_hash = np.full(4, 21, dtype=np.int64)
-        zeros = np.zeros(4, dtype=np.int64)
-        planned = sched.assign_batch(flow_hash, zeros, flow_id, zeros)
-        scalar = [sched.select_core(7, 0, 21, t) for t in range(4)]
-        assert planned.tolist() == scalar
-
 
 class TestFlowlet:
     GAP = units.us(50)

@@ -65,6 +65,16 @@ class TestCompare:
         assert "error: high_threshold 24 exceeds queue capacity 16" in err
         assert "Traceback" not in err
 
+    def test_negative_seed_exits_2_without_traceback(self, capsys):
+        rc = main([
+            "compare", "--packets", "2000", "--duration-ms", "1",
+            "--cores", "2", "--schedulers", "fcfs", "--seed", "-1",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: seed must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+
 
     def test_missing_pcap_workload_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no-such.pcap"

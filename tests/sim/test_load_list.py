@@ -106,11 +106,11 @@ def test_occ_exact_at_every_pause(
     assert_exact(resumed)
 
 
-def test_committed_v4_checkpoint_rebuilds_occ():
-    """A v4 blob pickles no ``occ`` list: the bank rebuilds it from its
+def test_committed_v5_checkpoint_rebuilds_occ():
+    """A v5 blob pickles no ``occ`` list: the bank rebuilds it from its
     queues on unpickle (the blob was taken with core 1 down)."""
     saved = pickle.loads(gzip.decompress(
-        (FIXTURES / "checkpoint_v4.pkl.gz").read_bytes()
+        (FIXTURES / "checkpoint_v5.pkl.gz").read_bytes()
     ))
     ckpt = Checkpoint.from_bytes(saved["checkpoint"])
     kernel = SimKernel.resume(

@@ -20,15 +20,16 @@ from pathlib import Path
 import pytest
 
 from repro import units
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.obs.manifest import RunManifest
 from repro.sim import system
 from repro.sim.events import EventQueue, EventSnapshot
-from repro.sim.kernel import Checkpoint, SimKernel
+from repro.sim.kernel import CHECKPOINT_VERSION, Checkpoint, SimKernel
 from repro.sim.system import simulate
 from tests.schedulers.test_assign_batch import (
     KERNEL_SCHEDULERS,
+    PLAN_SCHEDULERS,
     _config,
     _faults,
     _kernel_sched,
@@ -65,16 +66,18 @@ def test_span_bit_identical_faulted(name):
     assert _run(name, True, faulted=True) == _run(name, False, faulted=True)
 
 
-def test_spans_actually_commit():
-    """Guard against the parity tests passing vacuously: the default
-    path must really drain spans, and the oracle must never."""
+@pytest.mark.parametrize("name", PLAN_SCHEDULERS)
+def test_spans_actually_commit(name):
+    """Guard against the parity tests passing vacuously: every plan
+    rides the span drain, so the default path must really drain spans,
+    and the oracle must never."""
     wl = _workload(3, None)
-    kernel = SimKernel(_config(), _kernel_sched("hash-static"), wl)
+    kernel = SimKernel(_config(), _kernel_sched(name), wl)
     kernel.run()
     stats = kernel.span_stats
     assert stats["spans_committed"] > 0
     assert stats["packets_spanned"] > 0
-    oracle = SimKernel(_config(), _kernel_sched("hash-static"), wl,
+    oracle = SimKernel(_config(), _kernel_sched(name), wl,
                        vectorized=False)
     oracle.run()
     assert oracle.span_stats["packets_spanned"] == 0
@@ -125,7 +128,7 @@ def test_engine_keyword_accepts_only_heap():
 @pytest.mark.parametrize("name", ["laps", "hash-static"])
 def test_cross_path_checkpoint_resume(name, pair):
     """A checkpoint taken on one path resumes bit-exactly on the other:
-    the blob stores an EventSnapshot (v4) and never any span-drain or
+    the blob stores an EventSnapshot and never any span-drain or
     column-plan state."""
     vec_a, vec_b = pair
     cfg = _config()
@@ -147,26 +150,40 @@ def test_checkpoint_blob_holds_a_snapshot():
     wl = _workload(4, None)
     kernel = SimKernel(_config(), _kernel_sched("hash-static"), wl)
     kernel.run_until(units.us(300))
-    assert kernel.checkpoint().version == 4
+    assert kernel.checkpoint().version == CHECKPOINT_VERSION
     state, _sched, _inj, _extras = pickle.loads(kernel.checkpoint().blob)
     assert isinstance(state.events, EventSnapshot)
     assert isinstance(kernel.state.events, EventQueue)
     kernel.run()  # completes without error
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_committed_v4_checkpoint_resumes(vectorized):
-    """A v4 blob taken before the engine registry was removed (faulted
-    LAPS, paused at 400 us) still loads and resumes to the report the
-    uninterrupted run produced then."""
-    saved = pickle.loads(gzip.decompress(
-        (FIXTURES / "checkpoint_v4.pkl.gz").read_bytes()
+def _fixture(version: int) -> dict:
+    return pickle.loads(gzip.decompress(
+        (FIXTURES / f"checkpoint_v{version}.pkl.gz").read_bytes()
     ))
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_committed_v5_checkpoint_resumes(vectorized):
+    """A committed v5 blob (faulted LAPS, paused at 400 us) loads and
+    resumes to the report the uninterrupted run produced when the v4
+    fixture was taken: the blob format changed, the outcome did not."""
+    saved = _fixture(5)
     ckpt = Checkpoint.from_bytes(saved["checkpoint"])
     cfg = _config(record_departures=False)
     resumed = SimKernel.resume(ckpt, cfg, _workload(1, None),
                                vectorized=vectorized)
     assert resumed.run() == saved["report"]
+
+
+def test_committed_v4_checkpoint_is_refused():
+    """A v4 blob pickles table fields v5 no longer has, so loading it
+    fails early with a typed error naming both versions."""
+    raw = _fixture(4)["checkpoint"]
+    with pytest.raises(
+        SimulationError, match=r"checkpoint version 4 unsupported \(expected 5\)"
+    ):
+        Checkpoint.from_bytes(raw)
 
 
 # ----------------------------------------------------------------------

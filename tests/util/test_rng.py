@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.util.rng import make_rng, spawn_rngs
 
 
@@ -56,3 +57,13 @@ class TestSpawnRngs:
         # spawning twice from the same parent yields fresh children
         more = spawn_rngs(parent, 2)
         assert len(more) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)], ids=["int", "np.int64"])
+@pytest.mark.parametrize(
+    "make", [make_rng, lambda s: spawn_rngs(s, 2)], ids=["make_rng", "spawn_rngs"]
+)
+def test_negative_seed_is_a_config_error(make, seed):
+    """numpy's own message names neither the seed nor its value."""
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        make(seed)

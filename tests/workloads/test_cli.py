@@ -52,7 +52,10 @@ class TestSample:
          "error: unknown workload 'nope': available cache-mice, datamining, "
          "diurnal-flash, mmpp-bursty, replay-tiny, websearch, websearch-mmpp "
          "or pcap:<path>"),
-    ], ids=["negative-packets", "zero-duration", "unknown-workload"])
+        (["sample", "websearch", "--seed", "-1"],
+         "error: seed must be a non-negative integer, got -1"),
+    ], ids=["negative-packets", "zero-duration", "unknown-workload",
+            "negative-seed"])
     def test_repro_error_exits_2_without_traceback(self, argv, message, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
