@@ -259,16 +259,31 @@ _EVENT_TYPES: dict[str, type[FaultEvent]] = {
 }
 
 
-def _event_from_dict(d: dict) -> FaultEvent:
-    try:
-        cls = _EVENT_TYPES[d["type"]]
-    except KeyError:
+def _event_from_dict(d: object, where: str) -> FaultEvent:
+    """One event from its JSON object; *where* names it in errors."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    tag = d.get("type")
+    cls = _EVENT_TYPES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
         raise ConfigError(
-            f"unknown fault event type {d.get('type')!r}; "
+            f"{where}: unknown fault event type {tag!r}; "
             f"known: {', '.join(sorted(_EVENT_TYPES))}"
-        ) from None
-    kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
-    return cls(**kwargs)
+        )
+    where = f"{where} ({tag})"
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - {"type", *known})
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown field(s) {', '.join(unknown)}; "
+            f"known: {', '.join(known)}"
+        )
+    try:
+        return cls(**{k: v for k, v in d.items() if k != "type"})
+    except (TypeError, ConfigError) as exc:
+        # a missing field or a wrong-typed value (the constructor's
+        # comparisons raise TypeError on a string time, say)
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def core_flap(
@@ -416,16 +431,30 @@ class FaultSchedule:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "FaultSchedule":
-        """Parse a schedule from JSON text or a JSON file path."""
-        if isinstance(source, Path):
-            text = source.read_text()
-        else:
-            text = source.lstrip()
-            if not text.startswith("{"):
+        """Parse a schedule from JSON text or a JSON file path; any
+        malformed input raises :class:`ConfigError` saying where."""
+        if isinstance(source, Path) or not source.lstrip().startswith("{"):
+            where = f"fault schedule {source}"
+            try:
                 text = Path(source).read_text()
-        data = json.loads(text)
-        events = [_event_from_dict(d) for d in data.get("events", [])]
-        return cls(events)
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise ConfigError(f"cannot read {where}: {reason}") from exc
+        else:
+            where, text = "fault schedule", source
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{where}: invalid JSON at line {exc.lineno} column "
+                f"{exc.colno}: {exc.msg}"
+            ) from exc
+        events = data.get("events") if isinstance(data, dict) else None
+        if not isinstance(events, list):
+            raise ConfigError(f'{where}: expected a JSON object with an "events" list')
+        return cls([
+            _event_from_dict(d, f"{where}: event {i}") for i, d in enumerate(events)
+        ])
 
     # ------------------------------------------------------------------
     # seeded chaos

@@ -35,7 +35,7 @@ workload, scheduler seed and schedule produce byte-identical metrics.
 Checkpointing: the injector pickles inside the kernel's
 :class:`~repro.sim.kernel.Checkpoint` (its kernel back-reference is
 stripped and re-established at resume); its pending timed events
-travel in the serialized heap.
+travel in the pickled event queue.
 """
 
 from __future__ import annotations
@@ -378,9 +378,6 @@ class TrafficTransformSource(PacketSource):
         self.num_services = inner.num_services
         self.duration_ns = inner.duration_ns
         self.chunk_size = inner.chunk_size
-        self._reset()
-
-    def _reset(self) -> None:
         # pending packets: transformed, stable-sorted by new arrival
         # time (col 0); None until first ingest
         self._pending: tuple[np.ndarray, ...] | None = None
@@ -388,26 +385,8 @@ class TrafficTransformSource(PacketSource):
         self._emitted = 0
         self._inner_done = False
 
-    # -- cursor lifecycle ----------------------------------------------
     def clone(self) -> "TrafficTransformSource":
         return TrafficTransformSource(self.inner.clone(), self.schedule)
-
-    def snapshot(self) -> dict:
-        return {
-            "inner": self.inner.snapshot(),
-            "pending": self._pending,
-            "ingested_ns": self._ingested_ns,
-            "emitted": self._emitted,
-            "inner_done": self._inner_done,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self._reset()
-        self.inner.restore(snapshot["inner"])
-        self._pending = snapshot["pending"]
-        self._ingested_ns = int(snapshot["ingested_ns"])
-        self._emitted = int(snapshot["emitted"])
-        self._inner_done = bool(snapshot["inner_done"])
 
     # -- the stream transform ------------------------------------------
     def next_chunk(self):

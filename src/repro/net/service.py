@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import units
+from repro.errors import ConfigError
 
 __all__ = ["Service", "ServiceSet", "default_services"]
 
@@ -41,11 +42,11 @@ class Service:
 
     def __post_init__(self) -> None:
         if self.service_id < 0:
-            raise ValueError(f"service id must be >= 0, got {self.service_id}")
+            raise ConfigError(f"service id must be >= 0, got {self.service_id}")
         if self.base_ns <= 0:
-            raise ValueError(f"base processing time must be positive, got {self.base_ns}")
+            raise ConfigError(f"base processing time must be positive, got {self.base_ns}")
         if self.per_64b_ns < 0:
-            raise ValueError(f"per-64B cost must be >= 0, got {self.per_64b_ns}")
+            raise ConfigError(f"per-64B cost must be >= 0, got {self.per_64b_ns}")
 
     def processing_ns(self, size_bytes: int) -> int:
         """``T_proc`` in nanoseconds for a packet of *size_bytes*.
@@ -55,7 +56,7 @@ class Service:
         round once to integer nanoseconds.
         """
         if size_bytes <= 0:
-            raise ValueError(f"packet size must be positive, got {size_bytes}")
+            raise ConfigError(f"packet size must be positive, got {size_bytes}")
         return self.base_ns + round(self.per_64b_ns * size_bytes / 64)
 
     def capacity_pps(self, mean_size_bytes: float = 64.0) -> float:
@@ -70,10 +71,10 @@ class ServiceSet:
 
     def __init__(self, services: list[Service]) -> None:
         if not services:
-            raise ValueError("a router needs at least one service")
+            raise ConfigError("a router needs at least one service")
         ids = [s.service_id for s in services]
         if ids != list(range(len(services))):
-            raise ValueError(f"service ids must be dense 0..n-1, got {ids}")
+            raise ConfigError(f"service ids must be dense 0..n-1, got {ids}")
         self._services = tuple(services)
 
     def __len__(self) -> int:
@@ -98,7 +99,7 @@ class ServiceSet:
         Sec. 5): Σ_i cores_i / T_proc,i.
         """
         if len(cores_per_service) != len(self._services):
-            raise ValueError(
+            raise ConfigError(
                 f"need a core count per service: got {len(cores_per_service)} "
                 f"for {len(self._services)} services"
             )

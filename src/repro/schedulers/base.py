@@ -36,8 +36,7 @@ class LoadView(Protocol):
     still sees the dead core as full.  The view keeps the list exact
     and mutates it in place.  Schedulers only read it, through the
     view they are bound to (``self.loads.occ``), and never store it in
-    their own state: a checkpoint rebuilds the list on resume, so a
-    stored reference would go stale.
+    their own state.
     """
 
     num_cores: int

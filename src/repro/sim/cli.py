@@ -29,7 +29,7 @@ from pathlib import Path
 
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.obs import RunManifest, TelemetryProbe, write_run
 from repro.net.classifier import default_edge_rules
 from repro.net.service import Service, ServiceSet, default_services
@@ -94,6 +94,14 @@ def _registry_workload(args):
 
 
 def _cmd_compare(args) -> int:
+    if args.services is not None and args.services < 1:
+        raise ConfigError(f"--services must be >= 1, got {args.services}")
+    if args.shards is not None and args.shards < 1:
+        raise ConfigError(f"--shards must be >= 1, got {args.shards}")
+    if args.shard_workers < 0:
+        raise ConfigError(
+            f"--shard-workers must be >= 0 (0 = auto), got {args.shard_workers}"
+        )
     if args.workload:
         workload, services, num_services, mode = _registry_workload(args)
         trace_label = args.workload
@@ -113,7 +121,7 @@ def _cmd_compare(args) -> int:
     mean_size = float(trace.size_bytes.mean()) if trace.num_packets else \
         TRIMODAL_INTERNET_SIZES.mean
 
-    if args.services:
+    if args.services is not None:
         # N replicated generic services, each offered the full trace at
         # its slice of platform capacity — the shape of the large-scale
         # scenarios (e.g. --cores 120 --services 8 --shards 8)
@@ -316,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     cmp_p.add_argument("--multiservice", action="store_true",
                        help="classify into the 4 edge-router services")
     cmp_p.add_argument(
-        "--services", type=int, default=0, metavar="N",
+        "--services", type=int, default=None, metavar="N",
         help="run N replicated generic services instead (overrides "
              "--multiservice; pairs with --cores/--shards for "
              "large-scale scenarios)",

@@ -1,8 +1,7 @@
 """The event core: one heap queue, two paths over it.
 
 * :mod:`repro.sim.events.base` — the binary-heap :class:`EventQueue`
-  and the :class:`EventSnapshot` that checkpoint blobs (since v4) store
-  instead of a live queue;
+  (checkpoints pickle it as it is);
 * :mod:`repro.sim.events.backend` — :func:`simulate_core`, the span
   drain's per-core phase-1 recurrence;
 * :mod:`repro.sim.events.span` — the batched arrival/departure drain
@@ -15,6 +14,6 @@ the per-packet heap closures alone on the scalar oracle
 (``vectorized=False``); both paths produce bit-identical reports.
 """
 
-from repro.sim.events.base import EventQueue, EventSnapshot
+from repro.sim.events.base import EventQueue
 
-__all__ = ["EventQueue", "EventSnapshot"]
+__all__ = ["EventQueue"]

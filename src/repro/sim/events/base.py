@@ -8,37 +8,20 @@ engine is deliberately tuple-based — no Event objects, no allocation
 beyond the tuple itself (per the HPC guidance: keep the inner loop free
 of attribute lookups).
 
-:class:`EventSnapshot` is the queue's serialized form — checkpoint
-blob v4 stores a snapshot instead of the live queue (the snapshot
-carries the exact ``(time, seq)`` pairs, the tie-break counter and the
-pop bookkeeping, which is everything ordering-relevant).
+A checkpoint pickles the queue as it is: the heap of plain tuples, the
+tie-break counter and the pop bookkeeping are everything
+ordering-relevant, so an unpickled queue pops exactly as the live one
+would.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import SimulationError
 
-__all__ = ["EventQueue", "EventSnapshot"]
-
-
-@dataclass(frozen=True)
-class EventSnapshot:
-    """Image of a paused event queue.
-
-    ``entries`` is the pending set sorted by ``(time_ns, seq)`` — the
-    exact pop order a restored queue will replay — plus
-    the tie-break counter, the last pop time (causality floor) and the
-    lifetime pop count.
-    """
-
-    entries: tuple[tuple[int, int, Any], ...]
-    seq: int
-    last_pop_ns: int
-    popped: int
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
@@ -119,32 +102,11 @@ class EventQueue:
         self._last_pop_ns = -1
         self.popped = 0
 
-    # -- checkpoint form -------------------------------------------------
+    # -- the span drain's wholesale view -------------------------------
     def entries(self) -> list[tuple[int, int, Any]]:
         """Pending events sorted by ``(time_ns, seq)`` (a copy)."""
         # seqs are unique, so sorted() never compares payloads
         return sorted(self._heap, key=lambda e: (e[0], e[1]))
-
-    def snapshot(self) -> EventSnapshot:
-        """Freeze the queue into an :class:`EventSnapshot`."""
-        return EventSnapshot(
-            entries=tuple(self.entries()),
-            seq=self._seq,
-            last_pop_ns=self._last_pop_ns,
-            popped=self.popped,
-        )
-
-    @classmethod
-    def from_snapshot(cls, snap: EventSnapshot) -> "EventQueue":
-        """Rebuild a queue replaying *snap* exactly (same pop order,
-        same tie-break counter, same causality floor)."""
-        q = cls()
-        q._heap = list(snap.entries)
-        heapq.heapify(q._heap)
-        q._seq = snap.seq
-        q._last_pop_ns = snap.last_pop_ns
-        q.popped = snap.popped
-        return q
 
     def reset_entries(
         self,

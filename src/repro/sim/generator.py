@@ -159,9 +159,6 @@ class ArrivalStream:
     :meth:`pending_floor_ns` is a hard lower bound on every arrival not
     yet realised (the safe merge horizon for
     :class:`repro.sim.source.StreamingSource`).
-
-    The cursor is resumable: :meth:`state` / :meth:`set_state` capture
-    the segment index plus the generator's bit-generator state.
     """
 
     __slots__ = (
@@ -221,19 +218,6 @@ class ArrivalStream:
         times = start + offsets.astype(np.int64)
         times.sort(kind="stable")
         return times
-
-    def state(self) -> dict:
-        """Picklable cursor (segment index + generator bit state)."""
-        return {
-            "segment": self._next_segment,
-            "rng": self._rng.bit_generator.state,
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore a cursor captured by :meth:`state` on an equally
-        constructed stream (same model/duration/seed)."""
-        self._next_segment = int(state["segment"])
-        self._rng.bit_generator.state = state["rng"]
 
 
 def arrival_times(

@@ -43,21 +43,21 @@ Two properties are preserved from the original monolithic loop:
   sources produce identical packet sequences.  That equivalence is what
   makes checkpoint/resume exact.
 
-Checkpointing: :meth:`SimKernel.checkpoint` pickles the state graph —
-``SimState`` *and* the scheduler *and* the injector in one blob, so
-shared references (the scheduler's bound ``LoadView`` is the state's
-queue bank) survive the round trip — and stamps it with config/workload
-fingerprints (the workload fingerprint is the streaming digest of
-:func:`~repro.sim.source.workload_fingerprint`, identical across
-materialized and streamed builds of the same spec).  For a streaming
-source the blob also carries the source cursor and the live window, so
-resume continues generation mid-chunk without replay.
+Checkpointing: :meth:`SimKernel.checkpoint` pickles the run state and
+nothing else — ``SimState`` *and* the scheduler *and* the injector in
+one blob, so shared references (the scheduler's bound ``LoadView`` is
+the state's queue bank) survive the round trip — and stamps it with
+config/workload fingerprints (the workload fingerprint is the streaming
+digest of :func:`~repro.sim.source.workload_fingerprint`, identical
+across materialized and streamed builds of the same spec).
 :meth:`SimKernel.resume` restores the blob against the same config and
-workload-or-source (which are deliberately *not* serialized: they are
-large or regenerable) and continues the run; the resumed run's
+workload-or-source (which are deliberately *not* serialized: every
+packet sequence is a pure function of its spec), rebuilds the arrival
+window by pulling a fresh clone of the source up to the saved position
+and continues the run; the resumed run's
 :class:`~repro.sim.metrics.SimReport` is identical to an uninterrupted
-one, even resuming a streamed checkpoint against a materialized
-workload or vice versa.  See ``docs/architecture.md``.
+one, whichever source kind took or resumes the checkpoint.  See
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import numpy as np
 from repro.errors import ConfigError, SimulationError
 from repro.schedulers.base import Scheduler
 from repro.sim.config import SimConfig
-from repro.sim.events import EventQueue, EventSnapshot
+from repro.sim.events import EventQueue
 from repro.sim.events.span import RETRY_STRIDE, SpanDriver
 from repro.sim.hooks import HookBus
 from repro.sim.metrics import SimMetrics, SimReport
@@ -92,13 +92,12 @@ from repro.sim.workload import Workload
 __all__ = ["SimState", "SimKernel", "Checkpoint", "CHECKPOINT_VERSION"]
 
 #: bump when the pickled state layout changes incompatibly.
-#: v4: ``SimState.events`` is serialized as an
-#: :class:`~repro.sim.events.base.EventSnapshot` (the pending entries
-#: and tie-break bookkeeping) rather than a live queue object.
-#: v5: LAPS's pickled tables lost their plan caches
-#: (``MigrationTable.epoch``, ``ServiceMapTable._cores_arr``), so a v4
-#: blob no longer unpickles.
-CHECKPOINT_VERSION = 5
+#: v6: the blob is exactly ``(SimState, scheduler, injector)`` with
+#: ``SimState.events`` the live :class:`~repro.sim.events.EventQueue`
+#: and the queue bank pickled with its ``occ`` list; the source cursor,
+#: window chunks and event snapshot of v5 are gone, so a v5 blob no
+#: longer unpickles into this layout.
+CHECKPOINT_VERSION = 6
 
 #: local-index stride the arrival loop converts to plain Python lists
 #: at a time — bounds resident unboxed columns to O(segment) for any
@@ -203,12 +202,11 @@ def _config_fingerprint(config: SimConfig) -> str:
 class Checkpoint:
     """A paused run, serialized: resume it with :meth:`SimKernel.resume`.
 
-    The ``blob`` pickles ``(SimState, scheduler, injector, extras)`` in
-    one object graph — ``extras`` carries the streaming source cursor
-    and live window for non-materialized sources (None otherwise);
-    config and workload are validated by fingerprint at resume time
-    rather than stored.  ``to_bytes``/``from_bytes`` give a file-ready
-    wire form.
+    The ``blob`` pickles ``(SimState, scheduler, injector)`` in one
+    object graph; config and workload are validated by fingerprint at
+    resume time rather than stored, and resume regenerates the packet
+    stream from the workload.  ``to_bytes``/``from_bytes`` give a
+    file-ready wire form.
     """
 
     version: int
@@ -279,13 +277,11 @@ class SimKernel:
         vectorized: bool = True,
         state: SimState | None = None,
         _resumed: bool = False,
-        _chunks: list[WorkloadChunk] | None = None,
-        _exhausted: bool = False,
     ) -> None:
         if isinstance(workload, Workload):
             source = MaterializedSource(workload)
         elif isinstance(workload, PacketSource):
-            source = workload if _resumed else workload.clone()
+            source = workload.clone()
         else:
             raise ConfigError(
                 f"workload must be a Workload or PacketSource, "
@@ -299,12 +295,10 @@ class SimKernel:
         self.config = config
         self.scheduler = scheduler
         self.source = source
-        self._chunks: deque[WorkloadChunk] = deque(_chunks) if _chunks else deque()
-        self._exhausted = bool(_exhausted)
+        self._chunks: deque[WorkloadChunk] = deque()
+        self._exhausted = False
         #: live arrival window (consecutive un-retired chunks)
-        self.window: WorkloadChunk = (
-            concat_chunks(list(self._chunks)) if self._chunks else empty_chunk(0)
-        )
+        self.window: WorkloadChunk = empty_chunk(0)
         self.bus = bus if bus is not None else HookBus()
         self.state = state if state is not None else SimState.initial(config, source)
         self.injector = None
@@ -1036,34 +1030,18 @@ class SimKernel:
 
         Probes are *not* captured — re-attach fresh ones at resume; the
         time series restarts but the simulation outcome is unaffected
-        (sampling never mutates run state).  A non-materialized source
-        contributes its cursor and the live window chunks, so resuming
-        against a same-spec source continues generation mid-chunk with
-        no replay.
+        (sampling never mutates run state).  Neither is the source or
+        its window: resume regenerates them from the workload.
         """
         if self._finished:
             raise SimulationError("cannot checkpoint a finished run")
-        extras = None
-        if not isinstance(self.source, MaterializedSource):
-            extras = {
-                "source_cls": type(self.source).__qualname__,
-                "snapshot": self.source.snapshot(),
-                "chunks": list(self._chunks),
-                "exhausted": self._exhausted,
-            }
-        st = self.state
-        payload = (st, self.scheduler, self.injector, extras)
-        # the blob stores the EventSnapshot (since v4), not the live queue
-        live_events = st.events
-        st.events = live_events.snapshot()
+        payload = (self.state, self.scheduler, self.injector)
         try:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             raise SimulationError(
                 f"run state is not serializable: {exc}"
             ) from exc
-        finally:
-            st.events = live_events
         return Checkpoint(
             version=CHECKPOINT_VERSION,
             time_ns=self.state.now_ns,
@@ -1095,11 +1073,11 @@ class SimKernel:
         checkpointed run used (validated by fingerprint — materialized
         and streamed builds of the same spec share it, so a streamed
         checkpoint resumes against a materialized workload and vice
-        versa).  When *workload* is a source of the same class the
-        checkpoint's cursor snapshot restores it mid-stream; otherwise
-        the window is rebuilt by pulling (and immediately retiring)
-        chunks up to the saved position.  The scheduler and injector
-        come back from the checkpoint with their state intact.
+        versa).  The window is rebuilt by pulling a fresh clone of the
+        source (and immediately retiring dead chunks) up to the saved
+        position: O(position) generation at O(chunk) memory.  The
+        scheduler and injector come back from the checkpoint with their
+        state intact.
         """
         if checkpoint.version != CHECKPOINT_VERSION:
             raise SimulationError(
@@ -1114,25 +1092,10 @@ class SimKernel:
             raise SimulationError(
                 "checkpoint was taken against a different workload"
             )
-        state, scheduler, injector, extras = pickle.loads(checkpoint.blob)
-        if isinstance(state.events, EventSnapshot):
-            state.events = EventQueue.from_snapshot(state.events)
-        chunks = None
-        exhausted = False
-        source_arg = workload
-        if isinstance(workload, PacketSource):
-            source_arg = workload.clone()
-            if (
-                extras is not None
-                and type(workload).__qualname__ == extras["source_cls"]
-            ):
-                source_arg.restore(extras["snapshot"])
-                chunks = extras["chunks"]
-                exhausted = extras["exhausted"]
+        state, scheduler, injector = pickle.loads(checkpoint.blob)
         kernel = cls(
-            config, scheduler, source_arg, bus=bus, state=state,
+            config, scheduler, workload, bus=bus, state=state,
             vectorized=vectorized, _resumed=True,
-            _chunks=chunks, _exhausted=exhausted,
         )
         if injector is not None:
             kernel.attach_injector(injector, resumed=True)

@@ -22,9 +22,9 @@ or sampler can observe.  ``BoundedQueue.offer/take/drain/clear`` and
 ``QueueBank.mark_down/mark_up`` write through to it; the kernel's
 inlined enqueue/dequeue and the span commit's queue rebuild update it
 alongside the deques they touch.  The list is created once per bank
-and mutated in place, never rebound, so hot loops may bind it.  It is
-derived state: a pickled bank carries only its queues and rebuilds the
-list on unpickle.
+and mutated in place, never rebound, so hot loops may bind it.  A
+pickled bank carries the list with its queues; pickle's memo keeps
+every queue's write-through link pointing at the bank's one list.
 """
 
 from __future__ import annotations
@@ -60,23 +60,6 @@ class BoundedQueue:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __getstate__(self):
-        # the occ link is derived: the owning bank re-links on unpickle
-        return None, {
-            "capacity": self.capacity,
-            "_items": self._items,
-            "drops": self.drops,
-            "peak": self.peak,
-            "down": self.down,
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._occ = [0]
-        self._idx = 0
-        self._sync()
 
     def _sync(self) -> None:
         """Write this queue's load to its ``occ`` entry."""
@@ -136,25 +119,11 @@ class QueueBank:
             raise ConfigError(f"need at least one core, got {num_cores}")
         self._queues = [BoundedQueue(queue_capacity) for _ in range(num_cores)]
         self._capacity = queue_capacity
-        self._link()
-
-    def _link(self) -> None:
-        """Create ``occ`` and point every queue's write-through at it."""
         #: per-core load: queue length, or the capacity while down
-        self.occ = [0] * len(self._queues)
+        self.occ = [0] * num_cores
         for c, q in enumerate(self._queues):
             q._occ = self.occ
             q._idx = c
-            q._sync()
-
-    def __getstate__(self):
-        return None, {"_queues": self._queues, "_capacity": self._capacity}
-
-    def __setstate__(self, state) -> None:
-        slots = state[1]
-        self._queues = slots["_queues"]
-        self._capacity = slots["_capacity"]
-        self._link()
 
     # LoadView protocol -------------------------------------------------
     @property

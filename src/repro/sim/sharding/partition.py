@@ -2,11 +2,11 @@
 
 Both filters wrap a fresh clone of the full (already traffic-
 transformed) source and re-emit the masked sub-stream re-based to its
-own consecutive packet indexing, preserving the full
-``clone/snapshot/restore`` cursor contract.  Flow identity is global
-and every flow lives wholly inside one shard in both modes (a flow
-has one service, and a statically-mapped flow has one core), so the
-``seq`` column and the reorder detector keep working unchanged.
+own consecutive packet indexing, preserving the ``clone`` cursor
+contract.  Flow identity is global and every flow lives wholly inside
+one shard in both modes (a flow has one service, and a statically-
+mapped flow has one core), so the ``seq`` column and the reorder
+detector keep working unchanged.
 
 :class:`CorePartitionSource` (cores mode) replays the scheduler's own
 vectorized plan over a pristine copy bound to an all-idle load view:
@@ -96,13 +96,6 @@ class _FilteredSource(PacketSource):
             base = self._emitted
             self._emitted += int(cols[0].shape[0])
             return WorkloadChunk(base, *cols)
-
-    def snapshot(self) -> dict:
-        return {"inner": self.inner.snapshot(), "emitted": self._emitted}
-
-    def restore(self, snapshot: dict) -> None:
-        self.inner.restore(snapshot["inner"])
-        self._emitted = int(snapshot["emitted"])
 
 
 class CorePartitionSource(_FilteredSource):

@@ -33,11 +33,11 @@ Bit-identity rests on three invariants (each pinned by tests):
 
 Sources are cursors: ``next_chunk()`` consumes.  ``clone()`` returns a
 fresh, unconsumed source of the same spec (cheap — the kernel clones
-its source on construction so one source object can seed many runs);
-``snapshot()``/``restore()`` capture the mid-stream cursor for
-checkpoint/resume.  ``fingerprint()`` is a streaming blake2b digest
-over the chunk bytes, independent of chunk boundaries, so materialized
-and streamed builds of the same spec share one fingerprint.
+its source on construction so one source object can seed many runs,
+and checkpoint resume replays a fresh clone up to the saved position).
+``fingerprint()`` is a streaming blake2b digest over the chunk bytes,
+independent of chunk boundaries, so materialized and streamed builds
+of the same spec share one fingerprint.
 """
 
 from __future__ import annotations
@@ -213,13 +213,6 @@ class _BatchQueue:
             np.concatenate([a[i] for a in acc]) for i in range(len(_COLS))
         )
 
-    def snapshot(self) -> list[tuple[np.ndarray, ...]]:
-        return list(self._batches)
-
-    def restore(self, batches: list[tuple[np.ndarray, ...]]) -> None:
-        self._batches = list(batches)
-        self.count = sum(b[0].shape[0] for b in batches)
-
 
 # ----------------------------------------------------------------------
 class PacketSource:
@@ -227,10 +220,9 @@ class PacketSource:
 
     Subclasses provide the sizing attributes (``num_packets``,
     ``num_flows``, ``num_services``, ``duration_ns``, ``chunk_size``)
-    and implement :meth:`next_chunk`, :meth:`clone`, :meth:`snapshot`
-    and :meth:`restore`.  A source is a *cursor*: ``next_chunk``
-    consumes; pass a fresh :meth:`clone` to each consumer (the kernel
-    does this itself).
+    and implement :meth:`next_chunk` and :meth:`clone`.  A source is a
+    *cursor*: ``next_chunk`` consumes; pass a fresh :meth:`clone` to
+    each consumer (the kernel does this itself).
     """
 
     num_packets: int
@@ -249,15 +241,6 @@ class PacketSource:
 
     def clone(self) -> "PacketSource":
         """A fresh, unconsumed source of the same spec."""
-        raise NotImplementedError
-
-    def snapshot(self):
-        """Picklable mid-stream cursor state (see :meth:`restore`)."""
-        raise NotImplementedError
-
-    def restore(self, snapshot) -> None:
-        """Reposition this source at a cursor captured by
-        :meth:`snapshot` on a same-spec source."""
         raise NotImplementedError
 
     def iter_chunks(self):
@@ -343,12 +326,6 @@ class MaterializedSource(PacketSource):
     def clone(self) -> "MaterializedSource":
         return MaterializedSource(self.workload, self.chunk_size)
 
-    def snapshot(self) -> int:
-        return self._pos
-
-    def restore(self, snapshot: int) -> None:
-        self._pos = int(snapshot)
-
     def materialize(self) -> Workload:
         return self.workload
 
@@ -422,11 +399,6 @@ class StreamingSource(PacketSource):
         self._flow_hashes = [
             service_flow_hashes(t, hash_spec) for t in self.traces
         ]
-        self._reset()
-        self.num_packets = sum(s.total for s in self._streams)
-
-    # -- cursor lifecycle ----------------------------------------------
-    def _reset(self) -> None:
         rngs = spawn_rngs(self.seed, self.num_services)
         self._streams = [
             ArrivalStream(build_rate_model(p), self.duration_ns, rng)
@@ -439,6 +411,7 @@ class StreamingSource(PacketSource):
         self._seq_next = np.zeros(self.num_flows, dtype=np.int64)
         self._emitted = 0
         self._merged_done = False
+        self.num_packets = sum(s.total for s in self._streams)
 
     def clone(self) -> "StreamingSource":
         return StreamingSource(
@@ -446,31 +419,6 @@ class StreamingSource(PacketSource):
             seed=self.seed, hash_spec=self.hash_spec,
             chunk_size=self.chunk_size,
         )
-
-    def snapshot(self) -> dict:
-        return {
-            "streams": [s.state() for s in self._streams],
-            "cursors": [c.position for c in self._cursors],
-            "buffers": [list(b) for b in self._buffers],
-            "out": self._out.snapshot(),
-            "seq_next": self._seq_next.copy(),
-            "emitted": self._emitted,
-            "merged_done": self._merged_done,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self._reset()
-        for stream, state in zip(self._streams, snapshot["streams"]):
-            stream.set_state(state)
-        self._cursors = [
-            t.header_cursor(pos)
-            for t, pos in zip(self.traces, snapshot["cursors"])
-        ]
-        self._buffers = [list(b) for b in snapshot["buffers"]]
-        self._out.restore(snapshot["out"])
-        self._seq_next = snapshot["seq_next"].copy()
-        self._emitted = int(snapshot["emitted"])
-        self._merged_done = bool(snapshot["merged_done"])
 
     # -- the merge ------------------------------------------------------
     def next_chunk(self) -> WorkloadChunk | None:

@@ -27,26 +27,22 @@ _FLOW_COLS = ("flows_src_ip", "flows_dst_ip", "flows_src_port", "flows_dst_port"
 
 
 class HeaderCursor:
-    """A resumable wrap-around reader over a trace's packet headers.
+    """A wrap-around reader over a trace's packet headers.
 
     Workload builders consume each service's trace in order, wrapping
     modulo the trace length when the arrival process outruns it.  The
     cursor makes that consumption incremental: ``take(k)`` returns the
-    packet indices of the next *k* headers, and ``position`` (a plain
-    int: total headers consumed so far) is all the state needed to
-    resume — ``HeaderCursor(trace, position)`` continues exactly where
-    a previous cursor stopped.
+    packet indices of the next *k* headers, and ``position`` counts
+    the headers consumed so far.
     """
 
     __slots__ = ("trace", "position")
 
-    def __init__(self, trace: "Trace", position: int = 0) -> None:
+    def __init__(self, trace: "Trace") -> None:
         if trace.num_packets == 0:
             raise TraceFormatError("cannot read headers from an empty trace")
-        if position < 0:
-            raise TraceFormatError(f"cursor position must be >= 0, got {position}")
         self.trace = trace
-        self.position = int(position)
+        self.position = 0
 
     def take(self, k: int) -> np.ndarray:
         """Indices (into the trace's packet columns) of the next *k*
@@ -190,9 +186,9 @@ class Trace:
             int(self.flows_proto[flow_id]),
         )
 
-    def header_cursor(self, position: int = 0) -> HeaderCursor:
+    def header_cursor(self) -> HeaderCursor:
         """A :class:`HeaderCursor` over this trace's packet headers."""
-        return HeaderCursor(self, position)
+        return HeaderCursor(self)
 
     def head(self, n: int) -> "Trace":
         """A trace containing only the first *n* packets (flow table is

@@ -31,6 +31,8 @@ from collections import deque
 from multiprocessing import connection as mpconn
 from typing import Any, Callable, Iterable, TypeVar
 
+from repro.errors import ConfigError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -91,11 +93,11 @@ def default_jobs() -> int:
         try:
             jobs = int(env)
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"REPRO_JOBS must be an integer, got {env!r}"
             ) from None
         if jobs < 1:
-            raise ValueError(f"REPRO_JOBS must be >= 1, got {jobs}")
+            raise ConfigError(f"REPRO_JOBS must be >= 1, got {jobs}")
         return jobs
     return min(os.cpu_count() or 1, 8)
 
@@ -334,7 +336,7 @@ def parallel_map(
     """
     items = list(items)
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise ConfigError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
         jobs = default_jobs()
     if jobs == 1 or len(items) <= 1 or in_pool_worker():

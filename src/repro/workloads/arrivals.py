@@ -128,7 +128,7 @@ class MMPP:
     each query instant to its state's rate.  Because the trajectory is
     a pure function of the rng stream, the chunked
     :class:`~repro.sim.generator.ArrivalStream` (which calls
-    ``sample_rates`` exactly once up front) snapshots and restores
+    ``sample_rates`` exactly once up front) replays it from the seed
     without any MMPP-specific state.
     """
 

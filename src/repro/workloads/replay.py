@@ -18,10 +18,10 @@ end (each pass's flows keep their ids, timestamps continue after a
 ``wrap_gap_ns`` seam), turning a modest capture into an arbitrarily
 long replay — the multi-GB-style memory benchmark uses exactly this.
 
-The full PR 4 source contract holds: ``clone`` / ``snapshot`` /
-``restore`` / ``iter_chunks``, chunk-size-independent fingerprints, and
-bit-identical mid-chunk checkpoint/resume (the snapshot stores the raw
-record offset; restore re-streams and skips).
+The source contract holds: ``clone`` / ``iter_chunks``,
+chunk-size-independent fingerprints, and bit-identical mid-chunk
+checkpoint/resume (resume re-streams a fresh clone up to the saved
+position).
 """
 
 from __future__ import annotations
@@ -138,27 +138,17 @@ class PcapReplaySource(PacketSource):
         )
         # same rounding as the oracle: int64(float(cum) / speedup) + 1
         self.duration_ns = int(total_raw_ns / self.speedup) + 1
-        self._reset()
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """Parse/skip counters from the pre-scan pass."""
-        return dict(self._meta.counters)
-
-    # -- cursor lifecycle ----------------------------------------------
-    def _reset(self) -> None:
         self._records = None  # lazily opened record iterator
-        self._raw_consumed = 0  # raw records consumed in current pass
         self._pass = 0
         self._cum_ns = 0  # raw (pre-speedup) cumulative gap, all passes
         self._prev_ts: int | None = None
         self._emitted = 0
         self._seq_next = np.zeros(self.num_flows, dtype=np.int64)
 
-    def _open_pass(self, skip_raw: int = 0) -> None:
-        self._records = iter_pcap(self.path)
-        for _ in range(skip_raw):
-            next(self._records)
+    @property
+    def counters(self) -> dict[str, int]:
+        """Parse/skip counters from the pre-scan pass."""
+        return dict(self._meta.counters)
 
     def next_chunk(self) -> WorkloadChunk | None:
         if self._emitted >= self.num_packets:
@@ -167,7 +157,7 @@ class PcapReplaySource(PacketSource):
         if self.chunk_size is not None:
             budget = min(budget, self.chunk_size)
         if self._records is None:
-            self._open_pass(self._raw_consumed)
+            self._records = iter_pcap(self.path)
 
         meta = self._meta
         cum: list[int] = []
@@ -178,11 +168,9 @@ class PcapReplaySource(PacketSource):
             p = next(self._records, None)
             if p is None:  # pass ended; start the next one
                 self._pass += 1
-                self._raw_consumed = 0
                 self._prev_ts = None
-                self._open_pass()
+                self._records = iter_pcap(self.path)
                 continue
-            self._raw_consumed += 1
             if p.key is None:
                 continue
             if self._prev_ts is None:
@@ -247,24 +235,3 @@ class PcapReplaySource(PacketSource):
             hash_spec=self.hash_spec,
             _meta=self._meta,
         )
-
-    # -- checkpoint/resume ---------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "raw_consumed": self._raw_consumed,
-            "pass": self._pass,
-            "cum_ns": self._cum_ns,
-            "prev_ts": self._prev_ts,
-            "emitted": self._emitted,
-            "seq_next": self._seq_next.copy(),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self._records = None  # reopened (with skip) on next_chunk
-        self._raw_consumed = int(snapshot["raw_consumed"])
-        self._pass = int(snapshot["pass"])
-        self._cum_ns = int(snapshot["cum_ns"])
-        prev = snapshot["prev_ts"]
-        self._prev_ts = None if prev is None else int(prev)
-        self._emitted = int(snapshot["emitted"])
-        self._seq_next = np.asarray(snapshot["seq_next"], dtype=np.int64).copy()

@@ -25,11 +25,19 @@ class TestCLI:
         payload = json.loads(files[0].read_text())
         assert "rows" in payload
 
-    @pytest.mark.parametrize("argv, message", [
-        (["fig7", "--quick", "--stream", "--chunk-size", "-5"],
+    @pytest.mark.parametrize("argv, repro_jobs, message", [
+        (["fig7", "--quick", "--stream", "--chunk-size", "-5"], None,
          "error: chunk size must be positive, got -5"),
-    ], ids=["negative-chunk-size"])
-    def test_repro_error_exits_2_without_traceback(self, argv, message, capsys):
+        (["fig7", "--quick", "--jobs", "-1"], None,
+         "error: jobs must be >= 0, got -1"),
+        (["fig7", "--quick", "--jobs", "0"], "abc",
+         "error: REPRO_JOBS must be an integer, got 'abc'"),
+    ], ids=["negative-chunk-size", "negative-jobs", "bad-repro-jobs"])
+    def test_repro_error_exits_2_without_traceback(
+        self, argv, repro_jobs, message, capsys, monkeypatch
+    ):
+        if repro_jobs is not None:
+            monkeypatch.setenv("REPRO_JOBS", repro_jobs)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err.splitlines()

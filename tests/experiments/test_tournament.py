@@ -72,6 +72,7 @@ class TestCLIErrors:
          "unknown scenario 'G9'; choose from G1, G2, G3, G4, W1"),
         ("--seeds", "-1",
          "seed must be a non-negative integer, got -1"),
+        ("--jobs", "-1", "jobs must be >= 0, got -1"),
     ])
     def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "t.json"

@@ -156,8 +156,89 @@ class TestSerialisation:
         assert FaultSchedule.from_json(path).events == s.events
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError,
+            match=r"^fault schedule: event 0: unknown fault event type 'meteor'",
+        ):
             FaultSchedule.from_json('{"events": [{"type": "meteor"}]}')
+
+
+#: bad ``--faults`` files: (contents, the ConfigError's message with
+#: the file's path as ``{path}``); None contents means no file at all
+BAD_SPECS = {
+    "missing-file": (
+        None,
+        "cannot read fault schedule {path}: No such file or directory",
+    ),
+    "truncated": (
+        '{"events": [',
+        "fault schedule {path}: invalid JSON at line 1 column 13: "
+        "Expecting value",
+    ),
+    "top-level-list": (
+        "[]",
+        'fault schedule {path}: expected a JSON object with an "events" list',
+    ),
+    "events-not-list": (
+        '{"events": 5}',
+        'fault schedule {path}: expected a JSON object with an "events" list',
+    ),
+    "events-missing": (
+        "{}",
+        'fault schedule {path}: expected a JSON object with an "events" list',
+    ),
+    "event-not-object": (
+        '{"events": [5]}',
+        "fault schedule {path}: event 0 must be a JSON object, got int",
+    ),
+    "missing-field": (
+        '{"events": [{"type": "core_fail"}]}',
+        "fault schedule {path}: event 0 (core_fail): CoreFail.__init__() "
+        "missing 1 required positional argument: 'time_ns'",
+    ),
+    "wrong-type": (
+        '{"events": [{"type": "core_fail", "time_ns": "x", "core_id": 1}]}',
+        "fault schedule {path}: event 0 (core_fail): '<' not supported "
+        "between instances of 'str' and 'int'",
+    ),
+    "unknown-field": (
+        '{"events": [{"type": "core_fail", "time_ns": 10, "core_id": 1, '
+        '"bogus": 3}]}',
+        "fault schedule {path}: event 0 (core_fail): unknown field(s) "
+        "bogus; known: time_ns, core_id",
+    ),
+    "second-event-bad": (
+        '{"events": [{"type": "core_fail", "time_ns": 10, "core_id": 1}, '
+        '{"type": "core_recover", "time_ns": -5, "core_id": 1}]}',
+        "fault schedule {path}: event 1 (core_recover): event time must "
+        "be >= 0, got -5",
+    ),
+}
+
+
+def write_spec(tmp_path, case):
+    """Write *case*'s file; returns its path and the expected message."""
+    text, message = BAD_SPECS[case]
+    path = tmp_path / "faults.json"
+    if text is not None:
+        path.write_text(text)
+    return path, message.format(path=path)
+
+
+class TestFromJsonErrors:
+    """A bad schedule file is a ConfigError that says where, never a
+    raw JSONDecodeError/TypeError/AttributeError or a silently dropped
+    field."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_bad_file_is_a_config_error(self, tmp_path, case):
+        path, message = write_spec(tmp_path, case)
+        with pytest.raises(ConfigError) as err:
+            FaultSchedule.from_json(path)
+        assert str(err.value) == message
+        if case in ("missing-file", "truncated"):
+            # the OSError / JSONDecodeError stays chained
+            assert isinstance(err.value.__cause__, (OSError, ValueError))
 
 
 class TestRandomSchedules:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import units
+from repro.errors import ConfigError
 from repro.net.service import Service, ServiceSet, default_services
 
 
@@ -23,7 +24,7 @@ class TestService:
         assert svc.processing_ns(32) == 1000 + 320
 
     def test_zero_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             default_services()[0].processing_ns(0)
 
     def test_capacity(self):
@@ -31,21 +32,21 @@ class TestService:
         assert svc.capacity_pps(64) == pytest.approx(2e6)
 
     def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Service(-1, "x", 100)
 
     def test_zero_base_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Service(0, "x", 0)
 
 
 class TestServiceSet:
     def test_dense_ids_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ServiceSet([Service(1, "x", 100)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ServiceSet([])
 
     def test_indexing_and_iteration(self):
@@ -65,7 +66,7 @@ class TestServiceSet:
         assert cap == pytest.approx(2e6)  # one ip-forward core
 
     def test_capacity_needs_count_per_service(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             default_services().capacity_pps([1, 2])
 
 

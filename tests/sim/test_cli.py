@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.cli import main
+from tests.faults.test_events import BAD_SPECS, write_spec
 
 
 class TestCompare:
@@ -75,6 +76,37 @@ class TestCompare:
         assert "error: seed must be a non-negative integer, got -1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--services", "-3"], "--services must be >= 1, got -3"),
+        (["--services", "0"], "--services must be >= 1, got 0"),
+        (["--shards", "0"], "--shards must be >= 1, got 0"),
+        (["--shards", "-2"], "--shards must be >= 1, got -2"),
+        (["--shards", "2", "--shard-workers", "-1"],
+         "--shard-workers must be >= 0 (0 = auto), got -1"),
+    ], ids=["services-negative", "services-zero", "shards-zero",
+            "shards-negative", "shard-workers-negative"])
+    def test_bad_count_exits_2(self, flags, message, capsys):
+        rc = main([
+            "compare", "--packets", "2000", "--duration-ms", "0.5",
+            "--cores", "4", "--schedulers", "hash-static", *flags,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err.splitlines()
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_bad_faults_file_exits_2(self, tmp_path, case, capsys):
+        path, message = write_spec(tmp_path, case)
+        rc = main([
+            "compare", "--packets", "2000", "--duration-ms", "0.5",
+            "--cores", "4", "--schedulers", "hash-static",
+            "--faults", str(path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err.splitlines()
+        assert "Traceback" not in err
 
     def test_missing_pcap_workload_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no-such.pcap"

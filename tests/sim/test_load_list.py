@@ -106,17 +106,19 @@ def test_occ_exact_at_every_pause(
     assert_exact(resumed)
 
 
-def test_committed_v5_checkpoint_rebuilds_occ():
-    """A v5 blob pickles no ``occ`` list: the bank rebuilds it from its
-    queues on unpickle (the blob was taken with core 1 down)."""
+def test_committed_v6_checkpoint_keeps_occ_exact():
+    """A v6 blob pickles the bank with its ``occ`` list: the list comes
+    back exact, shared by every queue and by the scheduler's load view
+    (the blob was taken with core 1 down)."""
     saved = pickle.loads(gzip.decompress(
-        (FIXTURES / "checkpoint_v5.pkl.gz").read_bytes()
+        (FIXTURES / "checkpoint_v6.pkl.gz").read_bytes()
     ))
     ckpt = Checkpoint.from_bytes(saved["checkpoint"])
     kernel = SimKernel.resume(
         ckpt, _config(record_departures=False), _workload(1, None)
     )
     assert_exact(kernel)
+    assert all(q._occ is kernel.queues.occ for q in kernel.queues)
     assert kernel.queues[1].down
     assert kernel.scheduler.loads is kernel.queues
     kernel.run()

@@ -24,7 +24,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.obs.manifest import RunManifest
 from repro.sim import system
-from repro.sim.events import EventQueue, EventSnapshot
+from repro.sim.events import EventQueue
 from repro.sim.kernel import CHECKPOINT_VERSION, Checkpoint, SimKernel
 from repro.sim.system import simulate
 from tests.schedulers.test_assign_batch import (
@@ -128,7 +128,7 @@ def test_engine_keyword_accepts_only_heap():
 @pytest.mark.parametrize("name", ["laps", "hash-static"])
 def test_cross_path_checkpoint_resume(name, pair):
     """A checkpoint taken on one path resumes bit-exactly on the other:
-    the blob stores an EventSnapshot and never any span-drain or
+    the blob stores the run state and never any span-drain or
     column-plan state."""
     vec_a, vec_b = pair
     cfg = _config()
@@ -144,17 +144,22 @@ def test_cross_path_checkpoint_resume(name, pair):
     assert resumed.run() == base
 
 
-def test_checkpoint_blob_holds_a_snapshot():
-    """The pickled state must contain an EventSnapshot, not the live
-    queue object, and taking it must not disturb the running kernel."""
+def test_checkpoint_blob_holds_the_live_state():
+    """The blob pickles exactly ``(SimState, scheduler, injector)``
+    with the event queue as it is, and taking it must not disturb the
+    running kernel."""
     wl = _workload(4, None)
     kernel = SimKernel(_config(), _kernel_sched("hash-static"), wl)
     kernel.run_until(units.us(300))
-    assert kernel.checkpoint().version == CHECKPOINT_VERSION
-    state, _sched, _inj, _extras = pickle.loads(kernel.checkpoint().blob)
-    assert isinstance(state.events, EventSnapshot)
-    assert isinstance(kernel.state.events, EventQueue)
-    kernel.run()  # completes without error
+    ckpt = kernel.checkpoint()
+    assert ckpt.version == CHECKPOINT_VERSION
+    payload = pickle.loads(ckpt.blob)
+    assert len(payload) == 3
+    state, _sched, _inj = payload
+    assert isinstance(state.events, EventQueue)
+    assert state.events.entries() == kernel.state.events.entries()
+    ref = simulate(wl, _kernel_sched("hash-static"), _config())
+    assert kernel.run() == ref
 
 
 def _fixture(version: int) -> dict:
@@ -164,11 +169,11 @@ def _fixture(version: int) -> dict:
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
-def test_committed_v5_checkpoint_resumes(vectorized):
-    """A committed v5 blob (faulted LAPS, paused at 400 us) loads and
+def test_committed_v6_checkpoint_resumes(vectorized):
+    """A committed v6 blob (faulted LAPS, paused at 400 us) loads and
     resumes to the report the uninterrupted run produced when the v4
     fixture was taken: the blob format changed, the outcome did not."""
-    saved = _fixture(5)
+    saved = _fixture(6)
     ckpt = Checkpoint.from_bytes(saved["checkpoint"])
     cfg = _config(record_departures=False)
     resumed = SimKernel.resume(ckpt, cfg, _workload(1, None),
@@ -176,12 +181,13 @@ def test_committed_v5_checkpoint_resumes(vectorized):
     assert resumed.run() == saved["report"]
 
 
-def test_committed_v4_checkpoint_is_refused():
-    """A v4 blob pickles table fields v5 no longer has, so loading it
-    fails early with a typed error naming both versions."""
-    raw = _fixture(4)["checkpoint"]
+def test_committed_v5_checkpoint_is_refused():
+    """A v5 blob pickles a source cursor and an event snapshot v6 no
+    longer has, so loading it fails early with a typed error naming
+    both versions."""
+    raw = _fixture(5)["checkpoint"]
     with pytest.raises(
-        SimulationError, match=r"checkpoint version 4 unsupported \(expected 5\)"
+        SimulationError, match=r"checkpoint version 5 unsupported \(expected 6\)"
     ):
         Checkpoint.from_bytes(raw)
 

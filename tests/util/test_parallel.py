@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.util.parallel import (
     ParallelTaskError,
     ProcessPool,
@@ -41,7 +42,7 @@ class TestParallelMap:
         assert parallel_map(square, [1, 2], jobs=0) == [1, 4]
 
     def test_negative_jobs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^jobs must be >= 0, got -1$"):
             parallel_map(square, [1], jobs=-1)
 
     def test_empty(self):
@@ -71,7 +72,7 @@ class TestReproJobsOverride:
     @pytest.mark.parametrize("bad", ["0", "-2", "two"])
     def test_invalid_env_rejected(self, monkeypatch, bad):
         monkeypatch.setenv("REPRO_JOBS", bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^REPRO_JOBS must be "):
             default_jobs()
 
     def test_unset_uses_heuristic(self, monkeypatch):

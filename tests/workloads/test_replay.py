@@ -1,11 +1,11 @@
-"""PcapReplaySource: the full PR 4 source-contract battery.
+"""PcapReplaySource: the source-contract battery.
 
 The oracle for ``repeat=1`` is the materialising path the repo already
 trusts: ``native_workload([trace_from_pcap(path)[0]], speedup)``.  The
 streamed source must match it column for column, then satisfy
-chunk-size-independent fingerprints, clone/snapshot/restore, streamed ==
-materialized SimReports (hash-static AND LAPS), and bit-identical
-mid-chunk checkpoint/resume.
+chunk-size-independent fingerprints, clone, streamed == materialized
+SimReports (hash-static AND LAPS), and bit-identical mid-chunk
+checkpoint/resume.
 """
 
 import numpy as np
@@ -112,19 +112,6 @@ class TestContract:
         assert np.array_equal(first.arrival_ns, again.arrival_ns)
         assert np.array_equal(first.seq, again.seq)
 
-    def test_snapshot_restore_mid_chunk(self, capture):
-        src = PcapReplaySource(capture, chunk_size=77, repeat=2)
-        src.next_chunk()
-        snap = src.snapshot()
-        ref = [c for c in iter_all(src)]
-        other = PcapReplaySource(capture, chunk_size=77, repeat=2)
-        other.restore(snap)
-        got = [c for c in iter_all(other)]
-        assert len(ref) == len(got)
-        for a, b in zip(ref, got):
-            for col in COLUMNS:
-                assert np.array_equal(getattr(a, col), getattr(b, col)), col
-
     def test_validation(self, capture):
         with pytest.raises(ConfigError):
             PcapReplaySource(capture, chunk_size=0)
@@ -140,14 +127,6 @@ class TestContract:
         write_pcap(path, [])
         with pytest.raises(ConfigError, match="no usable"):
             PcapReplaySource(path)
-
-
-def iter_all(src):
-    while True:
-        chunk = src.next_chunk()
-        if chunk is None:
-            return
-        yield chunk
 
 
 class TestSimulation:
