@@ -26,8 +26,8 @@ the grouping key) — pass scenario *names*, not scenario objects.
 
 Fig. 8 is the one harness that does not use this module: it never runs
 the simulator (the AFD is scored standalone against offline ground
-truth), so its sharing win is memoised trace construction instead
-(see ``fig8._trace``).
+truth).  Its panels re-read the same presets, which
+:func:`repro.workloads.traces.resolve_trace` builds once per process.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.runner import ExperimentResult
 from repro.trace.analysis import concentration, rank_size
-from repro.trace.synthetic import preset_trace
+from repro.workloads.traces import resolve_trace
 
 __all__ = ["run_rank_size", "run_concentration", "DEFAULT_TRACES"]
 
@@ -44,7 +44,7 @@ def run_rank_size(
         meta={"quick": quick, "points_per_trace": points},
     )
     for name in traces:
-        trace = preset_trace(name, num_packets=num_packets)
+        trace = resolve_trace(name, num_packets=num_packets)
         curve = rank_size(trace, by="bytes")
         total = float(curve.sizes.sum())
         cum = np.cumsum(curve.sizes)
@@ -74,7 +74,7 @@ def run_concentration(
         meta={"quick": quick},
     )
     for name in traces:
-        trace = preset_trace(name, num_packets=num_packets)
+        trace = resolve_trace(name, num_packets=num_packets)
         stats = concentration(trace, by="bytes")
         result.add(trace=name, **{k: round(v, 4) for k, v in stats.items()})
     return result

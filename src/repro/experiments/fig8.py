@@ -21,14 +21,12 @@ single-cache ElephantTrap (the paper's Sec. VI argument for the annex).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.core.afd import AFDConfig, AggressiveFlowDetector
 from repro.experiments.runner import ExperimentResult
 from repro.schedulers.elephant_trap import ElephantTrap
 from repro.trace.analysis import top_k_flows
-from repro.trace.synthetic import preset_trace
 from repro.trace.trace import Trace
+from repro.workloads.traces import resolve_trace
 
 __all__ = [
     "feed",
@@ -43,17 +41,6 @@ __all__ = [
 DEFAULT_TRACES = ("caida-1", "caida-2", "auck-1", "auck-2")
 ANNEX_SIZES = (64, 128, 256, 512, 1024)
 SAMPLE_PROBS = (1.0, 0.1, 0.01, 1e-3, 1e-4)
-
-
-@lru_cache(maxsize=None)
-def _trace(name: str, num_packets: int | None) -> Trace:
-    """Memoised preset-trace construction.
-
-    The four panels re-read the same presets at the same size; traces
-    are immutable once built (the panels only iterate their arrays), so
-    one build serves the whole ``run()``.
-    """
-    return preset_trace(name, num_packets=num_packets)
 
 
 def feed(detector, trace: Trace) -> None:
@@ -90,7 +77,7 @@ def run_annex_sweep(
         },
     )
     for name in traces:
-        trace = _trace(name, num_packets)
+        trace = resolve_trace(name, num_packets)
         truth = _truth(trace, afc_entries)
         truth20 = _truth(trace, 20)
         for annex in annex_sizes:
@@ -139,7 +126,7 @@ def run_window_accuracy(
     import numpy as np
 
     for name in traces:
-        trace = _trace(name, num_packets)
+        trace = resolve_trace(name, num_packets)
         for interval in intervals:
             if interval >= trace.num_packets:
                 continue
@@ -198,7 +185,7 @@ def run_sampling(
         meta={"quick": quick, "annex_entries": annex_entries},
     )
     for name in traces:
-        trace = _trace(name, num_packets)
+        trace = resolve_trace(name, num_packets)
         truth = _truth(trace, afc_entries)
         for p in probs:
             afd = AggressiveFlowDetector(
@@ -237,7 +224,7 @@ def run_single_vs_two_level(
         meta={"quick": quick, "afc_entries": entries},
     )
     for name in traces:
-        trace = _trace(name, num_packets)
+        trace = resolve_trace(name, num_packets)
         truth = _truth(trace, entries)
         afd = AggressiveFlowDetector(
             AFDConfig(afc_entries=entries, annex_entries=annex_entries),

@@ -31,7 +31,7 @@ from repro.sim.generator import HoltWintersParams
 from repro.sim.source import DEFAULT_CHUNK_SIZE, StreamingSource
 from repro.sim.workload import build_workload
 from repro.trace.models import TRIMODAL_INTERNET_SIZES
-from repro.trace.synthetic import preset_trace
+from repro.workloads.traces import resolve_trace
 
 __all__ = [
     "run",
@@ -81,7 +81,7 @@ def single_service_workload(
     materialized workload (same packets, O(chunk) memory).
     """
     service = ip_forward_service()
-    trace = preset_trace(trace_name, num_packets=trace_packets)
+    trace = resolve_trace(trace_name, num_packets=trace_packets)
     capacity = service.capacity_pps([num_cores], TRIMODAL_INTERNET_SIZES.mean)
     params = [HoltWintersParams(a=utilisation * capacity)]
     if stream:

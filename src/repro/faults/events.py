@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 from pathlib import Path
 
 from repro import units
@@ -45,6 +46,14 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value: object) -> None:
+    """An id, a time or a count must be an integer: a JSON schedule can
+    carry ``1.5`` or ``true`` where one belongs, which would otherwise
+    pass the range checks and fail (or round) deep inside a run."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class FaultEvent:
     """Base event: something happens at ``time_ns``."""
@@ -58,6 +67,7 @@ class FaultEvent:
     type_tag = "?"
 
     def __post_init__(self) -> None:
+        _check_int("time_ns", self.time_ns)
         if self.time_ns < 0:
             raise ConfigError(f"event time must be >= 0, got {self.time_ns}")
 
@@ -90,6 +100,7 @@ class CoreFail(FaultEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
+        _check_int("core_id", self.core_id)
         if self.core_id < 0:
             raise ConfigError(f"core_id must be >= 0, got {self.core_id}")
 
@@ -107,6 +118,7 @@ class CoreRecover(FaultEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
+        _check_int("core_id", self.core_id)
         if self.core_id < 0:
             raise ConfigError(f"core_id must be >= 0, got {self.core_id}")
 
@@ -134,16 +146,19 @@ class CoreSlowdown(FaultEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
+        _check_int("core_id", self.core_id)
         if self.core_id < 0:
             raise ConfigError(f"core_id must be >= 0, got {self.core_id}")
         if self.factor < 1.0:
             raise ConfigError(
                 f"slowdown factor must be >= 1.0, got {self.factor}"
             )
-        if self.duration_ns is not None and self.duration_ns <= 0:
-            raise ConfigError(
-                f"duration_ns must be positive, got {self.duration_ns}"
-            )
+        if self.duration_ns is not None:
+            _check_int("duration_ns", self.duration_ns)
+            if self.duration_ns <= 0:
+                raise ConfigError(
+                    f"duration_ns must be positive, got {self.duration_ns}"
+                )
 
     @property
     def label(self) -> str:
@@ -186,10 +201,12 @@ class TrafficSurge(FaultEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
+        _check_int("service_id", self.service_id)
         if self.service_id < 0:
             raise ConfigError(f"service_id must be >= 0, got {self.service_id}")
         if self.factor <= 1.0:
             raise ConfigError(f"surge factor must be > 1.0, got {self.factor}")
+        _check_int("duration_ns", self.duration_ns)
         if self.duration_ns <= 0:
             raise ConfigError(
                 f"duration_ns must be positive, got {self.duration_ns}"
@@ -224,10 +241,13 @@ class ServiceFlap(FaultEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
+        _check_int("service_id", self.service_id)
         if self.service_id < 0:
             raise ConfigError(f"service_id must be >= 0, got {self.service_id}")
+        _check_int("period_ns", self.period_ns)
         if self.period_ns <= 0:
             raise ConfigError(f"period_ns must be positive, got {self.period_ns}")
+        _check_int("cycles", self.cycles)
         if self.cycles <= 0:
             raise ConfigError(f"cycles must be positive, got {self.cycles}")
         if not 0.0 < self.duty < 1.0:
@@ -281,8 +301,8 @@ def _event_from_dict(d: object, where: str) -> FaultEvent:
     try:
         return cls(**{k: v for k, v in d.items() if k != "type"})
     except (TypeError, ConfigError) as exc:
-        # a missing field or a wrong-typed value (the constructor's
-        # comparisons raise TypeError on a string time, say)
+        # a missing field, or a wrong-typed value the constructor's
+        # comparisons trip over (a string factor, say)
         raise ConfigError(f"{where}: {exc}") from exc
 
 

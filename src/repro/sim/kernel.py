@@ -1097,6 +1097,9 @@ class SimKernel:
             config, scheduler, workload, bus=bus, state=state,
             vectorized=vectorized, _resumed=True,
         )
+        # verified equal above: the next checkpoint need not regenerate
+        # the stream to fingerprint it again
+        kernel._wl_fp = checkpoint.workload_fingerprint
         if injector is not None:
             kernel.attach_injector(injector, resumed=True)
         if probe is not None:

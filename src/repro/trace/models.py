@@ -167,6 +167,54 @@ TRIMODAL_INTERNET_SIZES = PacketSizeModel(
 )
 
 
+def _tuple_keys(
+    src: np.ndarray,
+    dst: np.ndarray,
+    sport: np.ndarray,
+    dport: np.ndarray,
+    proto: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack 5-tuple columns into two ``uint64`` keys that are equal
+    exactly when the tuples are: ``src << 32 | dst`` and
+    ``sport << 24 | dport << 8 | proto``."""
+    hi = src.astype(np.uint64)
+    hi <<= 32
+    hi |= dst
+    lo = sport.astype(np.uint64)
+    lo <<= 16
+    lo |= dport
+    lo <<= 8
+    lo |= proto
+    return hi, lo
+
+
+def _first_new(
+    seen: tuple[np.ndarray, np.ndarray], keys: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Ascending positions of the *keys* that are not in *seen* and do
+    not repeat an earlier key: the rows a loop adding each new key to a
+    ``set`` of *seen* would keep, in its order.
+
+    One stable ``lexsort`` over seen + new keys puts equal keys next to
+    each other in input order, so the head of each run is the key's
+    first occurrence — in *seen* whenever it is there."""
+    m = seen[0].shape[0]
+    hi, lo = keys
+    if m:
+        hi = np.concatenate((seen[0], hi))
+        lo = np.concatenate((seen[1], lo))
+    order = np.lexsort((lo, hi))
+    head = np.ones(order.shape[0], dtype=bool)
+    hs, ls = hi[order], lo[order]
+    np.not_equal(hs[1:], hs[:-1], out=head[1:])
+    head[1:] |= ls[1:] != ls[:-1]
+    first = order[head]
+    first = first[first >= m]
+    first -= m
+    first.sort()
+    return first
+
+
 @dataclass
 class FlowPopulation:
     """A sampled population of flows: 5-tuples plus Zipf rate weights.
@@ -216,17 +264,13 @@ class FlowPopulation:
         ranges; collisions are re-drawn so every flow id has a distinct
         5-tuple (a requirement for the AFD ground truth to be exact).
         """
+        if num_flows <= 0:
+            raise ValueError(f"need at least one flow, got {num_flows}")
         if not 0.0 <= tcp_fraction <= 1.0:
             raise ValueError(f"tcp_fraction must be in [0, 1], got {tcp_fraction}")
         rng = make_rng(rng)
-        seen: set[tuple[int, int, int, int, int]] = set()
-        cols = (
-            np.empty(num_flows, dtype=np.uint32),
-            np.empty(num_flows, dtype=np.uint32),
-            np.empty(num_flows, dtype=np.uint16),
-            np.empty(num_flows, dtype=np.uint16),
-            np.empty(num_flows, dtype=np.uint8),
-        )
+        seen = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
+        parts: list[tuple[np.ndarray, ...]] = []
         filled = 0
         while filled < num_flows:
             need = num_flows - filled
@@ -242,19 +286,20 @@ class FlowPopulation:
             proto = np.where(
                 rng.random(batch) < tcp_fraction, PROTO_TCP, PROTO_UDP
             ).astype(np.uint8)
-            for i in range(batch):
-                key = (int(src[i]), int(dst[i]), int(sport[i]), int(dport[i]), int(proto[i]))
-                if key in seen:
-                    continue
-                seen.add(key)
-                cols[0][filled] = src[i]
-                cols[1][filled] = dst[i]
-                cols[2][filled] = sport[i]
-                cols[3][filled] = dport[i]
-                cols[4][filled] = proto[i]
-                filled += 1
-                if filled == num_flows:
-                    break
+            drawn = (src, dst, sport, dport, proto)
+            keys = _tuple_keys(*drawn)
+            take = _first_new(seen, keys)[:need]
+            if take.shape[0] == need and take[-1] == need - 1:
+                # the first `need` draws are all new: keep them as drawn
+                parts.append(tuple(col[:need] for col in drawn))
+            else:
+                parts.append(tuple(col[take] for col in drawn))
+            filled += take.shape[0]
+            if filled < num_flows:
+                seen = tuple(
+                    np.concatenate((s, k[take])) for s, k in zip(seen, keys)
+                )
+        cols = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape[0] != num_flows:

@@ -126,6 +126,12 @@ class Trace:
             # flow table without packets is allowed (empty capture window)
             pass
 
+    def make_read_only(self) -> None:
+        """Mark every column ``writeable=False``: a trace shared between
+        callers then raises on a write instead of changing for all."""
+        for col in _PACKET_COLS + _FLOW_COLS:
+            getattr(self, col).flags.writeable = False
+
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------

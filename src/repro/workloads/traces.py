@@ -20,6 +20,7 @@ tournament: CDF presets first, then the synthetic presets, then
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -248,16 +249,42 @@ def trace_preset_names() -> list[str]:
     return sorted([*SYNTHETIC_PRESETS, *CDF_TRACE_PRESETS])
 
 
+#: preset traces one process keeps built (fig7 uses 14 distinct ones)
+_PRESET_CACHE_ENTRIES = 16
+
+
+@lru_cache(maxsize=_PRESET_CACHE_ENTRIES)
+def _built_preset(name: str, num_packets: int | None) -> Trace:
+    """One preset trace, built on first request and shared read-only.
+
+    A preset trace is a pure function of its name and length (the seed
+    comes from the name), yet the harnesses ask for the same ones over
+    and over: every fault schedule of a tournament rebuilds the same
+    trace group, and fig7's T5-T8 reuse G1-G3's traces.  The columns
+    are made read-only, so a caller that writes into a shared trace
+    fails loudly instead of changing every later run.
+    """
+    if name in CDF_TRACE_PRESETS:
+        trace = cdf_preset_trace(name, num_packets=num_packets)
+    else:
+        trace = preset_trace(name, num_packets=num_packets)
+    trace.make_read_only()
+    return trace
+
+
 def resolve_trace(name: str, num_packets: int | None = None) -> Trace:
     """Resolve a trace by preset name (CDF or synthetic) or ``.npz`` path.
 
     The single lookup shared by the sim CLI, experiment runners, faults
     harness and tournament, so every harness accepts every preset.
+
+    A preset is built once per process for each *num_packets* (the
+    most recently used 16 stay) and every caller gets the same
+    :class:`Trace`, whose columns are read-only: copy a column before
+    writing to it.  An ``.npz`` path is read afresh on every call.
     """
-    if name in CDF_TRACE_PRESETS:
-        return cdf_preset_trace(name, num_packets=num_packets)
-    if name in SYNTHETIC_PRESETS:
-        return preset_trace(name, num_packets=num_packets)
+    if name in CDF_TRACE_PRESETS or name in SYNTHETIC_PRESETS:
+        return _built_preset(name, num_packets)
     path = Path(name)
     if path.suffix in (".npz",) and path.exists():
         trace = Trace.load_npz(path)

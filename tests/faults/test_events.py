@@ -1,5 +1,6 @@
 """Tests for declarative fault events and schedules."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -31,6 +32,14 @@ class TestEventValidation:
     def test_flap_duty_bounds(self):
         with pytest.raises(ConfigError):
             ServiceFlap(0, service_id=0, duty=1.0)
+
+    def test_bool_is_not_an_integer(self):
+        with pytest.raises(ConfigError, match="core_id must be an integer, got True"):
+            CoreFail(0, core_id=True)
+
+    def test_numpy_integers_accepted(self):
+        ev = CoreFail(np.int64(100), core_id=np.int32(2))
+        assert ev.time_ns == 100 and ev.core_id == 2
 
     def test_windowed_slowdown_expands_to_apply_and_restore(self):
         ev = CoreSlowdown(100, core_id=2, factor=3.0, duration_ns=50)
@@ -198,8 +207,24 @@ BAD_SPECS = {
     ),
     "wrong-type": (
         '{"events": [{"type": "core_fail", "time_ns": "x", "core_id": 1}]}',
-        "fault schedule {path}: event 0 (core_fail): '<' not supported "
-        "between instances of 'str' and 'int'",
+        "fault schedule {path}: event 0 (core_fail): time_ns must be an "
+        "integer, got 'x'",
+    ),
+    "float-core-id": (
+        '{"events": [{"type": "core_fail", "time_ns": 100000, "core_id": 1.5}]}',
+        "fault schedule {path}: event 0 (core_fail): core_id must be an "
+        "integer, got 1.5",
+    ),
+    "float-time": (
+        '{"events": [{"type": "core_fail", "time_ns": 100000.5, "core_id": 1}]}',
+        "fault schedule {path}: event 0 (core_fail): time_ns must be an "
+        "integer, got 100000.5",
+    ),
+    "float-duration": (
+        '{"events": [{"type": "core_slowdown", "time_ns": 10, "core_id": 1, '
+        '"factor": 2.0, "duration_ns": 100.5}]}',
+        "fault schedule {path}: event 0 (core_slowdown): duration_ns must be "
+        "an integer, got 100.5",
     ),
     "unknown-field": (
         '{"events": [{"type": "core_fail", "time_ns": 10, "core_id": 1, '

@@ -17,6 +17,7 @@ from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
 from repro.sim.hooks import HOOK_EVENTS, HookBus
 from repro.sim.kernel import CHECKPOINT_VERSION, Checkpoint, SimKernel
+from repro.sim.source import StreamingSource
 from repro.sim.system import simulate
 from repro.sim.workload import Workload, build_workload
 from repro.trace.synthetic import preset_trace
@@ -235,6 +236,28 @@ class TestCheckpointResume:
         kernel = SimKernel(cfg, laps(), wl)
         resumed = SimKernel.resume(kernel.checkpoint(), cfg, wl)
         assert resumed.run() == expected
+
+    def test_resumed_kernel_keeps_the_checked_fingerprint(self, monkeypatch):
+        # resume verified the workload fingerprint; the first checkpoint
+        # after it must not regenerate the stream to compute it again
+        cfg = small_config(num_cores=8)
+        source = StreamingSource(
+            [preset_trace("caida-1", num_packets=2_000)],
+            [HoltWintersParams(a=8e6)], units.ms(1), seed=0, chunk_size=256,
+        )
+        kernel = SimKernel(cfg, StaticHashScheduler(), source)
+        kernel.run_until(units.us(500))
+        ckpt = kernel.checkpoint()
+        resumed = SimKernel.resume(ckpt, cfg, source)
+        calls = []
+        real = StreamingSource.fingerprint
+        monkeypatch.setattr(
+            StreamingSource, "fingerprint",
+            lambda self: calls.append(self) or real(self),
+        )
+        resumed.run_until(units.us(700))
+        assert resumed.checkpoint().workload_fingerprint == ckpt.workload_fingerprint
+        assert calls == []
 
     def test_config_fingerprint_mismatch(self):
         wl = manual_workload([0, 100], [0, 1])

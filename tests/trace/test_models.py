@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hashing.five_tuple import PROTO_TCP, PROTO_UDP
 from repro.trace.models import (
     FlowPopulation,
     PacketSizeModel,
     TRIMODAL_INTERNET_SIZES,
+    _first_new,
+    _tuple_keys,
     capped_zipf_weights,
     elephant_mice_weights,
     zipf_weights,
@@ -192,3 +195,126 @@ class TestFlowPopulation:
     def test_protocols_valid(self, rng):
         pop = FlowPopulation.sample(100, 1.0, rng)
         assert set(np.unique(pop.proto)) <= {6, 17}
+
+    def test_zero_flows_rejected(self, rng):
+        with pytest.raises(ValueError, match="need at least one flow, got 0"):
+            FlowPopulation.sample(0, 1.0, rng)
+
+
+def set_loop_tuples(num_flows, rng, tcp_fraction=0.85):
+    """Reference: the per-flow ``set`` loop ``FlowPopulation.sample``
+    de-duplicated its 5-tuple draws with before it used numpy."""
+    seen = set()
+    cols = (
+        np.empty(num_flows, dtype=np.uint32),
+        np.empty(num_flows, dtype=np.uint32),
+        np.empty(num_flows, dtype=np.uint16),
+        np.empty(num_flows, dtype=np.uint16),
+        np.empty(num_flows, dtype=np.uint8),
+    )
+    filled = 0
+    while filled < num_flows:
+        need = num_flows - filled
+        batch = max(need, 16)
+        src = rng.integers(0x0A000000, 0x0AFFFFFF, size=batch, dtype=np.uint32)
+        dst = rng.integers(0xC0A80000, 0xDFFFFFFF, size=batch, dtype=np.uint32)
+        sport = rng.integers(1024, 65535, size=batch, dtype=np.uint16)
+        dport = rng.choice(
+            np.array([80, 443, 53, 22, 25, 8080, 5060, 1194], dtype=np.uint16),
+            size=batch,
+        )
+        proto = np.where(
+            rng.random(batch) < tcp_fraction, PROTO_TCP, PROTO_UDP
+        ).astype(np.uint8)
+        for i in range(batch):
+            key = (int(src[i]), int(dst[i]), int(sport[i]), int(dport[i]), int(proto[i]))
+            if key in seen:
+                continue
+            seen.add(key)
+            cols[0][filled] = src[i]
+            cols[1][filled] = dst[i]
+            cols[2][filled] = sport[i]
+            cols[3][filled] = dport[i]
+            cols[4][filled] = proto[i]
+            filled += 1
+            if filled == num_flows:
+                break
+    return cols
+
+
+class TinyRng(np.random.Generator):
+    """A generator whose address, port and destination-port draws each
+    land on three values: 108 distinct 5-tuples in all, so a sample of
+    a few dozen flows collides, re-draws, and ends on short batches."""
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        return (low + super().integers(0, 3, size=size)).astype(dtype)
+
+    def choice(self, a, size=None):
+        return super().choice(np.asarray(a)[:3], size=size)
+
+
+#: field values at the edges of each packed key's bit range
+_EDGE = {
+    "src": (0, 1, 0xFFFFFFFF),
+    "dst": (0, 1, 0xFFFFFFFF),
+    "sport": (0, 1, 0xFFFF),
+    "dport": (0, 0xFF, 0xFFFF),
+    "proto": (0, 6, 0xFF),
+}
+_DTYPES = (np.uint32, np.uint32, np.uint16, np.uint16, np.uint8)
+_tuples = st.lists(
+    st.tuples(*(st.sampled_from(v) for v in _EDGE.values())), max_size=40
+)
+
+
+def _columns(rows):
+    return tuple(
+        np.array([r[i] for r in rows], dtype=dt) for i, dt in enumerate(_DTYPES)
+    )
+
+
+class TestVectorizedDedup:
+    """The numpy de-duplication twins the ``set`` loop it replaced."""
+
+    @given(seen_rows=_tuples, rows=_tuples)
+    def test_first_new_matches_a_set(self, seen_rows, rows):
+        seen = set(seen_rows)
+        expected = []
+        for i, row in enumerate(rows):
+            if row not in seen:
+                seen.add(row)
+                expected.append(i)
+        got = _first_new(_tuple_keys(*_columns(seen_rows)), _tuple_keys(*_columns(rows)))
+        assert got.tolist() == expected
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_flows=st.integers(1, 80),
+        tcp_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=60)
+    def test_sample_matches_set_loop_on_a_tiny_space(
+        self, seed, num_flows, tcp_fraction
+    ):
+        if tcp_fraction in (0.0, 1.0):
+            num_flows = min(num_flows, 40)  # one protocol: 54 tuples
+        want = set_loop_tuples(
+            num_flows, TinyRng(np.random.PCG64(seed)), tcp_fraction
+        )
+        pop = FlowPopulation.sample(
+            num_flows, 0.0, TinyRng(np.random.PCG64(seed)), tcp_fraction
+        )
+        got = (pop.src_ip, pop.dst_ip, pop.src_port, pop.dst_port, pop.proto)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("num_flows", [1, 16, 1000])
+    def test_sample_matches_set_loop_on_real_draws(self, seed, num_flows):
+        want = set_loop_tuples(num_flows, np.random.default_rng(seed))
+        pop = FlowPopulation.sample(num_flows, 0.0, seed)
+        got = (pop.src_ip, pop.dst_ip, pop.src_port, pop.dst_port, pop.proto)
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)

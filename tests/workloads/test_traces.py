@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.workloads.traces as traces_mod
 from repro.errors import ConfigError
 from repro.trace.synthetic import preset_trace
 from repro.workloads.traces import (
@@ -131,3 +132,84 @@ class TestResolve:
     def test_unknown_name_lists_presets(self):
         with pytest.raises(ConfigError, match="unknown trace"):
             resolve_trace("not-a-preset")
+
+
+@pytest.fixture
+def empty_cache():
+    """Start and end with no preset built, so counts are this test's."""
+    traces_mod._built_preset.cache_clear()
+    yield traces_mod._built_preset
+    traces_mod._built_preset.cache_clear()
+
+
+def _counting(monkeypatch, name):
+    """Count the calls *name* (a generator resolve_trace calls) gets."""
+    calls = []
+    real = getattr(traces_mod, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(traces_mod, name, spy)
+    return calls
+
+
+class TestPresetCache:
+    """resolve_trace builds each preset once per process and hands out
+    read-only traces; .npz paths are read afresh."""
+
+    @pytest.mark.parametrize("name", ["caida-1", "websearch-1"])
+    def test_every_column_is_read_only(self, empty_cache, name):
+        trace = resolve_trace(name, num_packets=300)
+        cols = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+        assert len(cols) == 8
+        for col in cols:
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1
+        # so is a head() of it, which shares the columns
+        with pytest.raises(ValueError, match="read-only"):
+            trace.head(10).flow_id[0] = 1
+
+    @pytest.mark.parametrize(
+        "name, generator",
+        [("auck-1", "preset_trace"), ("cachemice-2", "cdf_preset_trace")],
+    )
+    def test_second_resolve_does_not_generate(
+        self, empty_cache, monkeypatch, name, generator
+    ):
+        calls = _counting(monkeypatch, generator)
+        first = resolve_trace(name, num_packets=500)
+        again = resolve_trace(name, num_packets=500)
+        assert again is first
+        assert len(calls) == 1
+        other = resolve_trace(name, num_packets=400)
+        assert len(calls) == 2 and other.num_packets == 400
+
+    def test_cached_trace_equals_a_fresh_build(self, empty_cache):
+        resolve_trace("caida-2", num_packets=700)
+        cached = resolve_trace("caida-2", num_packets=700)
+        assert cached.fingerprint() == preset_trace(
+            "caida-2", num_packets=700).fingerprint()
+
+    def test_cache_never_grows_past_its_bound(self, empty_cache):
+        bound = traces_mod._PRESET_CACHE_ENTRIES
+        assert empty_cache.cache_info().maxsize == bound
+        for size in range(1, bound + 6):
+            resolve_trace("auck-2", num_packets=size)
+            assert empty_cache.cache_info().currsize <= bound
+        assert empty_cache.cache_info().currsize == bound
+
+    def test_npz_path_is_read_fresh(self, empty_cache, tmp_path):
+        path = tmp_path / "t.npz"
+        preset_trace("caida-1", num_packets=600).save_npz(path)
+        first = resolve_trace(str(path))
+        rewritten = preset_trace("auck-1", num_packets=250)
+        rewritten.save_npz(path)
+        second = resolve_trace(str(path))
+        assert second.num_packets == 250
+        assert second.fingerprint() == rewritten.fingerprint()
+        assert first.num_packets == 600
+        assert empty_cache.cache_info().currsize == 0
+        # a path's trace stays the caller's to write
+        second.flow_id[0] = 0
