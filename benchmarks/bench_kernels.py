@@ -21,7 +21,6 @@ import pytest
 from repro import units
 from repro.core.afd import AFDConfig, AggressiveFlowDetector
 from repro.core.laps import LAPSConfig, LAPSScheduler
-from repro.core.lfu import LFUCache
 from repro.hashing.crc import CRC16_CCITT
 from repro.hashing.five_tuple import pack_five_tuples_batch
 from repro.net.service import Service, ServiceSet
@@ -61,21 +60,6 @@ def test_five_tuple_batch_packing(benchmark):
     )
     out = benchmark(pack_five_tuples_batch, *args)
     assert out.shape == (n, 13)
-
-
-def test_lfu_access(benchmark):
-    """One access on a 512-entry LFU under realistic churn."""
-    cache = LFUCache(512)
-    rng = np.random.default_rng(2)
-    keys = rng.integers(0, 5000, size=10_000).tolist()
-    for k in keys:
-        cache.access(k)
-    stream = iter(keys * 1000)
-
-    def op():
-        cache.access(next(stream))
-
-    benchmark(op)
 
 
 def test_afd_observe(benchmark):

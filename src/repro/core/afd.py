@@ -39,23 +39,12 @@ __all__ = ["AFDConfig", "AggressiveFlowDetector"]
 
 @dataclass(frozen=True)
 class AFDConfig:
-    """AFD sizing and policy knobs (defaults follow the paper).
-
-    ``decay_every`` is an optional extension beyond the paper (in the
-    spirit of Zadnik & Canini's evolved replacement policies, cited as
-    [40]): every N *sampled* packets all counters in both levels are
-    halved, so the detector tracks current rates instead of lifetime
-    totals — useful on long nonstationary streams where yesterday's
-    elephant should eventually yield its AFC slot.
-    """
+    """AFD sizing and policy knobs (defaults follow the paper)."""
 
     afc_entries: int = 16
     annex_entries: int = 512
     promote_threshold: int = 8
     sample_prob: float = 1.0
-    demote_victims: bool = True  # annex as victim cache for AFC evictees
-    decay_every: int | None = None
-    decay_shift: int = 1
 
     def __post_init__(self) -> None:
         if self.afc_entries <= 0:
@@ -68,12 +57,6 @@ class AFDConfig:
             )
         if not 0.0 < self.sample_prob <= 1.0:
             raise ValueError(f"sample_prob must be in (0, 1], got {self.sample_prob}")
-        if self.decay_every is not None and self.decay_every <= 0:
-            raise ValueError(
-                f"decay_every must be positive or None, got {self.decay_every}"
-            )
-        if self.decay_shift < 1:
-            raise ValueError(f"decay_shift must be >= 1, got {self.decay_shift}")
 
 
 class AggressiveFlowDetector:
@@ -102,10 +85,6 @@ class AggressiveFlowDetector:
         if self.config.sample_prob < 1.0 and self._rng.random() >= self.config.sample_prob:
             return
         self.sampled += 1
-        decay_every = self.config.decay_every
-        if decay_every is not None and self.sampled % decay_every == 0:
-            self.afc.decay(self.config.decay_shift)
-            self.annex.decay(self.config.decay_shift)
         self._observe_sampled(flow_id)
 
     def _observe_sampled(self, flow_id: int) -> None:
@@ -146,7 +125,7 @@ class AggressiveFlowDetector:
         count = self.annex.evict(flow_id)
         self.afc.insert(flow_id, count)
         self.promotions += 1
-        if victim is not None and self.config.demote_victims:
+        if victim is not None:
             self.annex.insert(victim, victim_count)
             self.demotions += 1
 

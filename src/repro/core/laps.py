@@ -16,9 +16,10 @@ Per arriving packet (Sec. III-E):
    longest-surplus core of another service, both map tables are updated
    via incremental hashing, and the packet is re-looked-up.
 
-Cores whose queues drain start an idle timer (``on_queue_empty``); once
-past ``idle_threshold_ns`` they become surplus and can be donated
-(Sec. III-D).
+Idle timers (Sec. III-D) run on the allocator's quietness clock: per
+routed packet, ``note_load`` resets a core's clock when its occupancy
+reaches ``busy_occupancy``, and a core whose clock is older than
+``idle_threshold_ns`` is surplus and can be donated.
 """
 
 from __future__ import annotations

@@ -28,12 +28,10 @@ class LFUCache:
     """Fully-associative LFU cache mapping keys to frequency counts.
 
     Not a general value store: entries carry only their counter (the
-    AFD needs nothing else).  ``access`` is the combined
-    lookup-and-insert the hardware performs per packet.
+    AFD needs nothing else).
     """
 
-    __slots__ = ("_capacity", "_counts", "_buckets", "_min_count",
-                 "hits", "misses", "evictions")
+    __slots__ = ("_capacity", "_counts", "_buckets", "_min_count")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -44,9 +42,12 @@ class LFUCache:
         # giving the FIFO-within-bucket tie-break for free
         self._buckets: dict[int, dict[Hashable, None]] = {}
         self._min_count = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+
+    def __setstate__(self, state) -> None:
+        # checkpoints taken before the hit/miss/eviction counters were
+        # dropped carry them in their slot state: skip them
+        for name in self.__slots__:
+            setattr(self, name, state[1][name])
 
     # ------------------------------------------------------------------
     @property
@@ -98,7 +99,6 @@ class LFUCache:
         """Pure lookup: increment the counter iff resident."""
         count = self._counts.get(key)
         if count is None:
-            self.misses += 1
             return False
         self._counts[key] = count + 1
         # add to the new bucket before removing from the old one: the
@@ -106,20 +106,7 @@ class LFUCache:
         # and the new bucket must already be visible to that scan
         self._bucket_add(key, count + 1)
         self._bucket_remove(key, count)
-        self.hits += 1
         return True
-
-    def access(self, key: Hashable) -> tuple[bool, Hashable | None]:
-        """Lookup-and-insert (the per-packet hardware operation).
-
-        On a hit, increments the counter and returns ``(True, None)``.
-        On a miss, inserts *key* with count 1, evicting the LFU entry if
-        full, and returns ``(False, victim_or_None)``.
-        """
-        if self.hit(key):
-            return True, None
-        victim = self.insert(key)
-        return False, victim
 
     def insert(self, key: Hashable, count: int = 1) -> Hashable | None:
         """Force *key* in with an initial *count*; returns the evicted
@@ -140,7 +127,6 @@ class LFUCache:
         if len(self._counts) >= self._capacity:
             victim = self.lfu_key()
             self.evict(victim)
-            self.evictions += 1
         self._counts[key] = count
         self._bucket_add(key, count)
         if len(self._counts) == 1 or count < self._min_count:
@@ -172,18 +158,3 @@ class LFUCache:
         self._counts.clear()
         self._buckets.clear()
         self._min_count = 0
-
-    def decay(self, shift: int = 1) -> None:
-        """Halve (``>> shift``) every counter — periodic aging so stale
-        elephants do not pin entries forever.  Optional extension; the
-        base paper design never decays.  O(n) rebuild."""
-        if shift < 0:
-            raise ValueError(f"shift must be >= 0, got {shift}")
-        if shift == 0 or not self._counts:
-            return
-        decayed = {k: c >> shift for k, c in self._counts.items()}
-        self._counts = decayed
-        self._buckets = {}
-        for k, c in decayed.items():
-            self._bucket_add(k, c)
-        self._min_count = min(self._buckets)

@@ -5,22 +5,21 @@ A :class:`FaultInjector` binds to a
 (``kernel.attach_injector(injector)``, or the ``injector=`` argument of
 :func:`repro.sim.system.simulate`): it pushes every platform event of
 its :class:`~repro.faults.events.FaultSchedule` into the kernel's event
-heap as ``(core=-1, event)`` payloads and subscribes its :meth:`apply`
-to the hook bus's ``timed_event``.  The kernel pops those events in
-strict time order, interleaved with packet completions, and dispatches
-each through the bus; :meth:`apply` then mutates the kernel's explicit
-:class:`~repro.sim.kernel.SimState`:
+heap as ``(core=-1, event)`` payloads.  The kernel pops those events in
+strict time order, interleaved with packet completions, and hands each
+to :meth:`FaultInjector.apply` together with itself; :meth:`apply` then
+mutates the kernel's explicit :class:`~repro.sim.kernel.SimState`:
 
 * **CoreFail** — the in-flight packet dies with the core (its pending
   completion is tombstoned through ``state.killed_pkts``), the queued
   descriptors are handled per the :data:`drain policy <DRAIN_POLICIES>`
   (``drop``: lost; ``reassign``: re-dispatched through the scheduler at
   the failure instant), the queue is marked down (it refuses offers and
-  reads as full through the ``LoadView``), and the bus's ``core_down``
-  event fires *before* any reassignment so aware policies never
-  re-select the dead core;
+  reads as full through the ``LoadView``), and the scheduler's
+  ``on_core_down`` runs *before* any reassignment so aware policies
+  never re-select the dead core;
 * **CoreRecover** — the queue accepts again, the core restarts idle
-  with a cold i-cache, and ``core_up`` fires;
+  with a cold i-cache, and the scheduler's ``on_core_up`` runs;
 * **CoreSlowdown** — the core's service-time multiplier changes for
   packets that start from now on.
 
@@ -33,9 +32,8 @@ fault scenarios).  Everything here is deterministic — the same
 workload, scheduler seed and schedule produce byte-identical metrics.
 
 Checkpointing: the injector pickles inside the kernel's
-:class:`~repro.sim.kernel.Checkpoint` (its kernel back-reference is
-stripped and re-established at resume); its pending timed events
-travel in the pickled event queue.
+:class:`~repro.sim.kernel.Checkpoint` (it holds no reference to the
+kernel); its pending timed events travel in the pickled event queue.
 """
 
 from __future__ import annotations
@@ -94,53 +92,52 @@ class FaultInjector:
         self.reassign_drops = 0
         #: (label, t_ns) log of applied events, in application order
         self.applied_log: list[tuple[str, int]] = []
-        self._kernel = None
         self._bound = False
 
     # ------------------------------------------------------------------
-    def __getstate__(self):
-        # the kernel back-reference would drag the workload and config
-        # into every checkpoint; resume re-establishes it via bind()
-        state = dict(self.__dict__)
-        state["_kernel"] = None
-        return state
-
-    # ------------------------------------------------------------------
     def bind(self, kernel, *, schedule_events: bool = True) -> None:
-        """Attach to a kernel about to run.
+        """Validate the schedule against *kernel* and push its events.
 
-        Pushes the schedule's platform events into the (still empty)
-        heap; a resumed run passes ``schedule_events=False`` because
-        the restored heap already carries the pending ones.
+        Pushes the schedule's platform events into the kernel's heap,
+        refusing a schedule that starts before the kernel's current
+        time; a resumed run passes ``schedule_events=False`` because the
+        restored heap already carries the pending ones.  The kernel is
+        not stored: :meth:`apply` receives it with every event.
         """
         if self._bound and schedule_events:
             raise SimulationError("a FaultInjector binds to one run only")
         self.schedule.validate_platform(
             kernel.config.num_cores, len(kernel.config.services)
         )
-        self._kernel = kernel
-        self._bound = True
         if schedule_events:
-            for ev in self.schedule.platform_events():
+            events = self.schedule.platform_events()
+            now = kernel.state.now_ns
+            if events and events[0].time_ns < now:
+                # attached mid-run: the run already dispatched up to now
+                raise SimulationError(
+                    f"fault event {events[0].label} is before the run's "
+                    f"current time ({now} ns)"
+                )
+            for ev in events:
                 kernel.state.events.push(ev.time_ns, (-1, ev))
+        self._bound = True
 
     # ------------------------------------------------------------------
-    def apply(self, event, t_ns: int) -> None:
-        """Dispatch one platform event at its activation time."""
+    def apply(self, kernel, event, t_ns: int) -> None:
+        """Apply one platform event to *kernel* at its activation time."""
         if isinstance(event, CoreFail):
-            self._apply_fail(event.core_id, t_ns)
+            self._apply_fail(kernel, event.core_id, t_ns)
         elif isinstance(event, CoreRecover):
-            self._apply_recover(event.core_id, t_ns)
+            self._apply_recover(kernel, event.core_id, t_ns)
         elif isinstance(event, CoreSlowdown):
-            self._apply_slowdown(event.core_id, event.factor)
+            self._apply_slowdown(kernel, event.core_id, event.factor)
         else:
             raise SimulationError(f"injector cannot apply {event!r}")
         self.events_applied += 1
         self.applied_log.append((event.label, t_ns))
 
     # ------------------------------------------------------------------
-    def _apply_fail(self, core: int, t_ns: int) -> None:
-        kernel = self._kernel
+    def _apply_fail(self, kernel, core: int, t_ns: int) -> None:
         st = kernel.state
         if core in self.cores_down:
             raise SimulationError(f"core {core} failed while already down")
@@ -149,7 +146,7 @@ class FaultInjector:
         pkt = st.core_current_pkt[core]
         if st.core_busy[core] and pkt >= 0:
             st.killed_pkts.add(pkt)
-            self._drop_packet(pkt, t_ns)
+            self._drop_packet(kernel, pkt, t_ns)
             self.packets_killed += 1
             st.core_current_pkt[core] = -1
         st.core_busy[core] = True  # a dead core never pulls work
@@ -158,17 +155,16 @@ class FaultInjector:
         # notify before touching the queued packets so an aware
         # scheduler has already evicted the core when reassignment
         # re-consults select_core
-        kernel.bus.emit("core_down", core, t_ns)
+        kernel.scheduler.on_core_down(core, t_ns)
         if self.drain_policy == "reassign":
             for p in queued:
-                self._reassign(p, t_ns)
+                self._reassign(kernel, p, t_ns)
         else:
             for p in queued:
-                self._drop_packet(p, t_ns)
+                self._drop_packet(kernel, p, t_ns)
                 self.packets_drained += 1
 
-    def _apply_recover(self, core: int, t_ns: int) -> None:
-        kernel = self._kernel
+    def _apply_recover(self, kernel, core: int, t_ns: int) -> None:
         st = kernel.state
         if core not in self.cores_down:
             raise SimulationError(f"core {core} recovered while not down")
@@ -177,19 +173,18 @@ class FaultInjector:
         st.core_busy[core] = False
         st.core_current_pkt[core] = -1
         st.core_last_service[core] = -1  # restarted: i-cache is cold
-        kernel.bus.emit("core_up", core, t_ns)
+        kernel.scheduler.on_core_up(core, t_ns)
 
-    def _apply_slowdown(self, core: int, factor: float) -> None:
-        self._kernel.state.core_speed[core] = factor
+    def _apply_slowdown(self, kernel, core: int, factor: float) -> None:
+        kernel.state.core_speed[core] = factor
         if factor == 1.0:
             self.slow_cores.pop(core, None)
         else:
             self.slow_cores[core] = factor
 
     # ------------------------------------------------------------------
-    def _drop_packet(self, pkt: int, t_ns: int) -> None:
+    def _drop_packet(self, kernel, pkt: int, t_ns: int) -> None:
         """Account one fault-caused loss (drop + reorder + record)."""
-        kernel = self._kernel
         st = kernel.state
         win = kernel.window  # live packets always sit inside the window
         li = pkt - win.base
@@ -203,7 +198,7 @@ class FaultInjector:
         if kernel.config.record_departures:
             st.drop_records.append((fid, sq, t_ns))
 
-    def _reassign(self, pkt: int, t_ns: int) -> None:
+    def _reassign(self, kernel, pkt: int, t_ns: int) -> None:
         """Re-dispatch one drained descriptor through the scheduler.
 
         Deliberately the scalar ``select_core`` even when the kernel
@@ -213,7 +208,6 @@ class FaultInjector:
         kernel notices at the next arrival and replans — so fast and
         scalar runs see identical reassignments.
         """
-        kernel = self._kernel
         st = kernel.state
         win = kernel.window
         li = pkt - win.base
@@ -229,16 +223,12 @@ class FaultInjector:
                 f"{sched.name} returned core {core} during reassignment"
             )
         if st.core_busy[core]:
-            q = st.queues[core]
-            if q.is_empty:
-                kernel.bus.emit("queue_busy", core, t_ns)
-            if q.offer(pkt):
+            if st.queues[core].offer(pkt):
                 self.packets_reassigned += 1
             else:
-                self._drop_packet(pkt, t_ns)
+                self._drop_packet(kernel, pkt, t_ns)
                 self.reassign_drops += 1
         else:
-            kernel.bus.emit("queue_busy", core, t_ns)
             kernel.start_packet(core, pkt, t_ns)
             self.packets_reassigned += 1
 

@@ -2,17 +2,16 @@
 
 A :class:`TelemetryProbe` owns a set of :class:`Sampler` objects and,
 on a fixed period, asks each for a row fragment; fragments merge into
-one record per sample time.  The kernel drives the probe through its
-``maybe_sample(t_ns, queues, metrics)`` hook —
-:meth:`~repro.sim.kernel.SimKernel.attach_probe` registers it as a
-``sample`` subscriber on the hook bus and calls
-:meth:`TelemetryProbe.bind` with the running
-:class:`~repro.sim.kernel.SimKernel` (which exposes the sampler view
-protocol: ``queues`` / ``metrics`` / ``scheduler`` / ``reorder`` /
+one record per sample time.  A
+:class:`~repro.sim.kernel.SimKernel` takes one probe
+(:meth:`~repro.sim.kernel.SimKernel.attach_probe`) and calls its
+``maybe_sample(t_ns, view)`` at every arrival and drain step, passing
+itself as the view.  The kernel exposes the sampler view protocol
+(``queues`` / ``metrics`` / ``scheduler`` / ``reorder`` /
 ``injector``), so samplers can see the scheduler and the reorder
-detector, not just the queues.  ``QueueOccupancySampler`` plus
-``ProgressSampler`` record per-core queue depths and the cumulative
-generated/dropped/departed counters.
+detector, not just the queues; the probe keeps no reference to it.
+``QueueOccupancySampler`` plus ``ProgressSampler`` record per-core
+queue depths and the cumulative generated/dropped/departed counters.
 
 Period semantics: at most **one** sample is recorded per
 ``maybe_sample`` call, timestamped with the *actual* observation time
@@ -149,16 +148,6 @@ def default_samplers() -> list[Sampler]:
     ]
 
 
-class _View:
-    """Minimal view when the probe was never bound to a simulator."""
-
-    __slots__ = ("queues", "metrics")
-
-    def __init__(self, queues, metrics) -> None:
-        self.queues = queues
-        self.metrics = metrics
-
-
 class TelemetryProbe:
     """Periodic multi-sampler probe producing one record per sample.
 
@@ -175,21 +164,14 @@ class TelemetryProbe:
         self.samplers = list(samplers) if samplers is not None else default_samplers()
         self.records: list[dict] = []
         self._next_ns = 0
-        self._view = None
 
     # ------------------------------------------------------------------
-    def bind(self, view) -> None:
-        """Attach to the run (a :class:`~repro.sim.kernel.SimKernel` or
-        anything else exposing the sampler view protocol)."""
-        self._view = view
-
-    def maybe_sample(self, t_ns: int, queues, metrics) -> None:
-        """Record at most one sample when *t_ns* crossed a boundary."""
+    def maybe_sample(self, t_ns: int, view) -> None:
+        """Record at most one sample of *view* (the running kernel, or
+        anything else exposing the sampler view protocol) when *t_ns*
+        crossed a boundary."""
         if t_ns < self._next_ns:
             return
-        view = self._view
-        if view is None:
-            view = _View(queues, metrics)
         row = {"t_ns": t_ns}
         for s in self.samplers:
             row.update(s.sample(t_ns, view))

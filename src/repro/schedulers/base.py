@@ -3,9 +3,10 @@
 A scheduler is consulted once per arriving packet and returns the target
 core; the simulator enqueues there (or drops the packet when the queue
 is full).  Schedulers see core load through a :class:`LoadView` so they
-stay decoupled from the simulator's internals, and receive queue
-empty/busy edge notifications so policies with idle timers (LAPS's core
-release, Sec. III-D) can keep time.
+stay decoupled from the simulator's internals, and hear about core
+failures and recoveries (:mod:`repro.faults`) through
+:meth:`Scheduler.on_core_down` / :meth:`Scheduler.on_core_up`, which the
+fault injector calls directly.
 
 Flow hashes are passed in pre-computed (the trace pipeline CRC16-hashes
 all flow keys in one vectorised batch) so per-packet work stays cheap;
@@ -48,9 +49,9 @@ class Scheduler(ABC):
     """Base class for packet schedulers.
 
     Lifecycle: construct → :meth:`bind` (once, with the load view) →
-    per-packet :meth:`select_core` calls interleaved with queue-edge
-    notifications.  ``bind`` may be called again to reset the scheduler
-    onto a fresh system.
+    per-packet :meth:`select_core` calls, interleaved with core
+    down/up notifications when faults are injected.  ``bind`` may be
+    called again to reset the scheduler onto a fresh system.
 
     **Map-epoch protocol** (the vectorized fast path): ``map_epoch`` is
     a monotone counter that the scheduler bumps on *every* mutation of
@@ -153,12 +154,6 @@ class Scheduler(ABC):
         """
         return None
 
-    def on_queue_empty(self, core_id: int, t_ns: int) -> None:
-        """The core's input queue just drained (idle-timer edge)."""
-
-    def on_queue_busy(self, core_id: int, t_ns: int) -> None:
-        """The core's input queue went non-empty again."""
-
     def on_core_down(self, core_id: int, t_ns: int) -> None:
         """The core failed (see :mod:`repro.faults`).
 
@@ -173,28 +168,6 @@ class Scheduler(ABC):
 
     def on_core_up(self, core_id: int, t_ns: int) -> None:
         """The failed core came back and is idle again."""
-
-    #: bus event -> callback method, for :meth:`register_hooks`
-    _HOOK_METHODS = (
-        ("queue_empty", "on_queue_empty"),
-        ("queue_busy", "on_queue_busy"),
-        ("core_down", "on_core_down"),
-        ("core_up", "on_core_up"),
-    )
-
-    def register_hooks(self, bus) -> None:
-        """Subscribe this scheduler's callbacks on a
-        :class:`~repro.sim.hooks.HookBus`.
-
-        Only *overridden* callbacks are registered: a policy that keeps
-        the base-class no-op for an event stays off the bus entirely,
-        so the kernel skips the call instead of paying for a no-op —
-        subclasses that want every notification regardless can override
-        this to subscribe unconditionally.
-        """
-        for event, name in self._HOOK_METHODS:
-            if getattr(type(self), name) is not getattr(Scheduler, name):
-                bus.subscribe(event, getattr(self, name))
 
     def stats(self) -> dict[str, float]:
         """Scheduler-internal counters for reports (override to extend)."""

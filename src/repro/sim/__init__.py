@@ -9,7 +9,6 @@ egress reorder detector.
 """
 
 from repro.sim.events import EventQueue
-from repro.sim.hooks import HookBus, HOOK_EVENTS
 from repro.sim.kernel import Checkpoint, SimKernel, SimState
 from repro.sim.queues import BoundedQueue, QueueBank
 from repro.sim.latency import CoreConfig, TABLE_III_CORE
@@ -32,8 +31,6 @@ from repro.sim.power import PowerModel, PowerReport
 
 __all__ = [
     "EventQueue",
-    "HookBus",
-    "HOOK_EVENTS",
     "Checkpoint",
     "SimKernel",
     "SimState",

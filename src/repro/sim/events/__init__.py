@@ -6,8 +6,8 @@
   drain's per-core phase-1 recurrence;
 * :mod:`repro.sim.events.span` — the batched arrival/departure drain
   that consumes a planned scheduler column without per-packet event
-  pushes, falling back to scalar dispatch whenever a hook, fault
-  event or ordering ambiguity makes batching inexact.
+  pushes, falling back to scalar dispatch whenever a probe, fault
+  injector or ordering ambiguity makes batching inexact.
 
 The kernel runs the span drain on the vectorized path (the default) and
 the per-packet heap closures alone on the scalar oracle

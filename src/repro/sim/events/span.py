@@ -23,9 +23,8 @@ case by draining a whole **span** of planned arrivals at once:
 bit-identity oracle; a span only commits when its semantics are
 provably identical, and otherwise *bails* to scalar dispatch:
 
-* any hook that fires per arrival (probes' ``sample``, queue
-  busy/empty edges), a fault injector, killed packets, degraded core
-  speeds or downed queues — bail;
+* an attached probe (it samples per arrival) or fault injector,
+  killed packets, degraded core speeds or downed queues — bail;
 * a flow resident on one core (busy/queued) while the plan maps it to
   another — the relative order of their flow-state writes would be
   cross-core — bail;
@@ -132,14 +131,7 @@ class SpanDriver:
         # the kernel attempts spans for every scheduler with a plan;
         # its per-packet bookkeeping (if any) has a span form
         commit_span = sched.batch_commit_span
-        if st.killed_pkts or k.injector is not None:
-            return li
-        bus = k.bus
-        if (
-            bus.dispatcher("sample") is not None
-            or bus.dispatcher("queue_busy") is not None
-            or bus.dispatcher("queue_empty") is not None
-        ):
+        if st.killed_pkts or k.injector is not None or k.probe is not None:
             return li
         n_cores = cfg.num_cores
         if st.core_speed.count(1.0) != n_cores:

@@ -5,10 +5,13 @@ per-flow placement memory, the queue bank, the event heap, metrics and
 the reorder detector — as plain fields instead of run-loop closure
 locals.  :class:`SimKernel` drives that state through ``step()`` /
 ``run_until(t_ns)`` / ``run()``: the arrival loop and the drain phase
-are ordinary methods, and everything that observes or perturbs the run
-(probes, fault injectors, scheduler queue-edge callbacks) registers on
-one :class:`~repro.sim.hooks.HookBus` instead of poking attributes onto
-the simulator.
+are ordinary methods.  The kernel calls its observers directly: the
+scheduler, at most one fault injector (timed heap events go to
+``injector.apply(kernel, event, t_ns)``) and at most one telemetry
+probe (``probe.maybe_sample(t_ns, kernel)`` per arrival and per drain
+step).  None of them stores the kernel, and :meth:`SimKernel.finalize`
+drops the compiled closures, so a finished run holds no reference
+cycle and is freed by reference counting.
 
 The kernel consumes packets through a
 :class:`~repro.sim.source.PacketSource`: a plain
@@ -75,7 +78,6 @@ from repro.schedulers.base import Scheduler
 from repro.sim.config import SimConfig
 from repro.sim.events import EventQueue
 from repro.sim.events.span import RETRY_STRIDE, SpanDriver
-from repro.sim.hooks import HookBus
 from repro.sim.metrics import SimMetrics, SimReport
 from repro.sim.queues import QueueBank
 from repro.sim.reorder import ReorderDetector
@@ -242,17 +244,17 @@ class Checkpoint:
 
 
 # ----------------------------------------------------------------------
-def _no_timed_handler(event, t_ns):  # pragma: no cover - defensive
+def _no_timed_handler(kernel, event, t_ns):  # pragma: no cover - defensive
     raise SimulationError(
-        f"timed event {event!r} at {t_ns} ns but no handler is subscribed"
+        f"timed event {event!r} at {t_ns} ns but no injector is attached"
     )
 
 
 class SimKernel:
     """Steppable network-processor simulation over an explicit state.
 
-    Lifecycle: construct (fresh state, scheduler bound and subscribed
-    to the bus) → optionally :meth:`attach_probe` / :meth:`attach_injector`
+    Lifecycle: construct (fresh state, scheduler bound to the queue
+    bank) → optionally :meth:`attach_probe` / :meth:`attach_injector`
     → any mix of :meth:`step` / :meth:`run_until` / :meth:`run` →
     :class:`~repro.sim.metrics.SimReport`.  :meth:`checkpoint` may be
     called between advances; :meth:`resume` restores one.
@@ -263,8 +265,8 @@ class SimKernel:
     cloned, so one source object can seed any number of kernels.
 
     The kernel itself satisfies the sampler view protocol (``queues``,
-    ``metrics``, ``scheduler``, ``reorder``, ``injector`` attributes),
-    so rich probes bind to it directly.
+    ``metrics``, ``scheduler``, ``reorder``, ``injector`` attributes):
+    it passes itself to the probe at every sample.
     """
 
     def __init__(
@@ -273,7 +275,6 @@ class SimKernel:
         scheduler: Scheduler,
         workload: Workload | PacketSource,
         *,
-        bus: HookBus | None = None,
         vectorized: bool = True,
         state: SimState | None = None,
         _resumed: bool = False,
@@ -299,9 +300,9 @@ class SimKernel:
         self._exhausted = False
         #: live arrival window (consecutive un-retired chunks)
         self.window: WorkloadChunk = empty_chunk(0)
-        self.bus = bus if bus is not None else HookBus()
         self.state = state if state is not None else SimState.initial(config, source)
         self.injector = None
+        self.probe = None
         self._finished = False
         self._start_packet = None
         self._complete_until = None
@@ -340,7 +341,6 @@ class SimKernel:
             # queue bank (shared pickle graph); re-binding would reset
             # its placement state
             scheduler.bind(self.state.queues)
-        scheduler.register_hooks(self.bus)
 
     # -- sampler view protocol -----------------------------------------
     @property
@@ -374,41 +374,39 @@ class SimKernel:
         find out — deterministic and idempotent)."""
         return self._peek_arrival_ns() is not None
 
-    # -- hook attachment -----------------------------------------------
+    # -- observers -----------------------------------------------------
     def attach_probe(self, probe) -> None:
-        """Register a periodic sampler on the bus.
+        """Sample the run with *probe* from the next arrival on.
 
         *probe* is a :class:`repro.obs.TelemetryProbe` (or anything with
-        its ``bind`` / ``maybe_sample(t_ns, queues, metrics)`` /
-        ``period_ns`` protocol).  It is bound to the kernel so its
-        samplers see the scheduler, reorder detector and injector too.
+        its ``maybe_sample(t_ns, view)`` / ``period_ns`` protocol).  The
+        kernel passes itself as the view, so samplers see the scheduler,
+        reorder detector and injector too.  A probe may be attached
+        between advances; the drain phase steps at its period.
         """
         if probe is None:
             return
-        probe.bind(self)
-        queues = self.state.queues
-        metrics = self.state.metrics
-        maybe_sample = probe.maybe_sample
-
-        def sample(t_ns: int) -> None:
-            maybe_sample(t_ns, queues, metrics)
-
-        self.bus.subscribe("sample", sample, period_ns=probe.period_ns)
+        if self.probe is not None:
+            raise SimulationError("a kernel takes at most one probe")
+        self.probe = probe
 
     def attach_injector(self, injector, *, resumed: bool = False) -> None:
         """Bind a :class:`repro.faults.FaultInjector` to this run.
 
-        The injector validates its schedule against the config, pushes
-        its timed events into the heap (skipped on resume — they are
-        already in the restored heap) and subscribes to ``timed_event``.
+        The injector validates its schedule against the config and
+        pushes its timed events into the heap (skipped on resume — they
+        are already in the restored heap); the compiled completion loop
+        then hands each one to ``injector.apply``.
         """
         if injector is None:
             return
         if self.injector is not None:
             raise SimulationError("a kernel takes at most one injector")
-        self.injector = injector
         injector.bind(self, schedule_events=not resumed)
-        self.bus.subscribe("timed_event", injector.apply)
+        self.injector = injector
+        # recompile: a loop compiled before the attach has no handler
+        self._start_packet = None
+        self._complete_until = None
 
     # -- the sliding arrival window ------------------------------------
     def _min_live_pkt(self) -> int:
@@ -513,10 +511,10 @@ class SimKernel:
         Closures capture the state *containers* (mutated in place), so
         the per-packet path touches only locals — the original loop's
         no-attribute-lookup property; packet columns are indexed at
-        ``pkt - base`` within the window.  Re-run after :meth:`resume`
-        or a window slide to re-close over the current containers.
+        ``pkt - base`` within the window.  Re-run after :meth:`resume`,
+        a window slide or :meth:`attach_injector` to re-close over the
+        current containers and injector.
         """
-        self.bus.freeze()
         cfg = self.config
         st = self.state
         win = self.window
@@ -565,8 +563,11 @@ class SimKernel:
         latencies = metrics.latencies_ns
         record_dep = cfg.record_departures
         departures = st.departures
-        on_queue_empty = self.bus.dispatcher("queue_empty")
-        dispatch_timed = self.bus.dispatcher("timed_event") or _no_timed_handler
+        # timed events need the kernel: capturing it is a reference
+        # cycle while the run is live, which finalize() breaks
+        injector = self.injector
+        kernel = self if injector is not None else None
+        apply_timed = injector.apply if injector is not None else _no_timed_handler
         on_depart = reorder.on_depart
         busy_ns = metrics.busy_ns_per_core
         # per-core FIFO deques and the bank's occ list, hoisted past
@@ -617,9 +618,9 @@ class SimKernel:
             Pops are inlined (heappop on the raw heap) with the queue's
             popped/now bookkeeping — and the departed/last-depart
             metrics — batched in locals; both batches are flushed
-            before any timed-event or queue-empty dispatch, so handlers
-            that push events or read counters see exact state, and at
-            exit, before probes sample.
+            before any timed-event dispatch, so an injector that pushes
+            events or reads counters sees exact state, and at exit,
+            before probes sample.
             """
             n_popped = 0
             n_departed = 0
@@ -636,7 +637,7 @@ class SimKernel:
                         metrics.departed += n_departed
                         metrics.last_depart_ns = t_dep
                         n_departed = 0
-                    dispatch_timed(pkt, t_done)
+                    apply_timed(kernel, pkt, t_done)
                     continue
                 if killed_pkts and pkt in killed_pkts:
                     killed_pkts.discard(pkt)  # died with its core
@@ -656,14 +657,6 @@ class SimKernel:
                 else:
                     core_busy[core] = False
                     core_current_pkt[core] = -1
-                    if on_queue_empty is not None:
-                        events.flush_pops(n_popped, t_done)
-                        n_popped = 0
-                        if n_departed:
-                            metrics.departed += n_departed
-                            metrics.last_depart_ns = t_dep
-                            n_departed = 0
-                        on_queue_empty(core, t_done)
             if n_popped:
                 events.flush_pops(n_popped, t_done)
             if n_departed:
@@ -750,8 +743,8 @@ class SimKernel:
                 self._activate()
             complete_until = self._complete_until
             start_packet = self._start_packet
-            sample = self.bus.dispatcher("sample")
-            on_queue_busy = self.bus.dispatcher("queue_busy")
+            probe = self.probe
+            sample = probe.maybe_sample if probe is not None else None
             win = self.window
             base = win.base
             arrival = win.arrival_ns
@@ -813,7 +806,7 @@ class SimKernel:
                     if ev_heap and ev_heap[0][0] <= t:
                         complete_until(t)
                     if sample is not None:
-                        sample(t)
+                        sample(t, self)
                     metrics.generated += 1
                     sid = svc_seg[k]
                     gen_per_service[sid] += 1
@@ -845,12 +838,9 @@ class SimKernel:
                             f"{sched.name} returned core {core} of {n_cores}"
                         )
                     if core_busy[core]:
-                        qi = q_items[core]
-                        if not qi and on_queue_busy is not None:
-                            on_queue_busy(core, t)
                         n = occ[core]
                         if n < cap:
-                            qi.append(base + li)
+                            q_items[core].append(base + li)
                             n += 1
                             occ[core] = n
                             q = qs[core]
@@ -867,8 +857,6 @@ class SimKernel:
                             if record_dep:
                                 drop_records.append((flow_seg[k], seq.item(li), t))
                     else:
-                        if on_queue_busy is not None:
-                            on_queue_busy(core, t)
                         start_packet(core, base + li, t)
                     li += 1
             finally:
@@ -881,7 +869,7 @@ class SimKernel:
             # sliding: they bind the old window's arrays (and its
             # service-time column), and holding them across the pull
             # would double the resident window at the peak
-            complete_until = start_packet = None
+            complete_until = start_packet = sample = None
             arr_seg = svc_seg = flow_seg = hash_seg = ()
             if not self._pull_chunk():
                 break  # source exhausted: every arrival dispatched
@@ -919,9 +907,9 @@ class SimKernel:
     def _drain(self) -> None:
         """Serve queued work after the last arrival (bounded).
 
-        With a periodic ``sample`` hook the drain advances one sample
-        period at a time so time series keep covering departures after
-        the last arrival; an empty heap means nothing is in flight (a
+        With a probe attached the drain advances one probe period at a
+        time so time series keep covering departures after the last
+        arrival; an empty heap means nothing is in flight (a
         non-empty queue implies a busy core, which implies a pending
         completion), so further boundaries would only repeat a frozen
         state.
@@ -932,11 +920,11 @@ class SimKernel:
         st = self.state
         events = st.events
         complete_until = self._complete_until
-        sample = self.bus.dispatcher("sample")
+        probe = self.probe
         last_arrival_ns = st.last_arrival_ns
         drain_end = last_arrival_ns + cfg.drain_ns
-        if sample is not None and cfg.drain_ns > 0:
-            step = self.bus.sample_period_ns or cfg.drain_ns
+        if probe is not None and cfg.drain_ns > 0:
+            step = probe.period_ns
             t = last_arrival_ns + step
             while t <= st.now_ns:  # resumed mid-drain: catch up first
                 t += step
@@ -947,13 +935,13 @@ class SimKernel:
                 if nxt is not None and nxt > drain_end:
                     break
                 complete_until(t)
-                sample(t)
+                probe.maybe_sample(t, self)
                 t += step
         if drain_end > st.now_ns:
             complete_until(drain_end)
             st.now_ns = drain_end
-        if sample is not None:
-            sample(max(drain_end, st.now_ns))
+        if probe is not None:
+            probe.maybe_sample(max(drain_end, st.now_ns), self)
         st.drained = True
         # anything still in flight past the drain bound is abandoned
         # unscored (counted as neither departed nor dropped)
@@ -1004,10 +992,16 @@ class SimKernel:
         return self.finish()
 
     def finalize(self) -> SimReport:
-        """Freeze the metrics into the immutable report (once)."""
+        """Freeze the metrics into the immutable report (once).
+
+        Drops the compiled closures: with an injector attached they
+        close over the kernel, and nothing else in a finished run points
+        back at it.
+        """
         if self._finished:
             raise SimulationError("kernel already finished")
         self._finished = True
+        self._start_packet = self._complete_until = None
         st = self.state
         return st.metrics.finalize(
             duration_ns=self.source.duration_ns,
@@ -1058,7 +1052,6 @@ class SimKernel:
         workload: Workload | PacketSource,
         *,
         probe=None,
-        bus: HookBus | None = None,
         vectorized: bool = True,
     ) -> "SimKernel":
         """Rebuild a kernel from *checkpoint* and continue the run.
@@ -1094,7 +1087,7 @@ class SimKernel:
             )
         state, scheduler, injector = pickle.loads(checkpoint.blob)
         kernel = cls(
-            config, scheduler, workload, bus=bus, state=state,
+            config, scheduler, workload, state=state,
             vectorized=vectorized, _resumed=True,
         )
         # verified equal above: the next checkpoint need not regenerate

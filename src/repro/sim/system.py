@@ -3,9 +3,9 @@
 This module holds :func:`simulate`, the one-shot entry point.  The run
 loop itself lives in :class:`repro.sim.kernel.SimKernel`, which owns an
 explicit :class:`~repro.sim.kernel.SimState` and exposes ``step()`` /
-``run_until(t_ns)`` / ``run()`` plus checkpoint/resume.  Probes, fault
-injectors and scheduler queue-edge callbacks all register on the
-kernel's :class:`~repro.sim.hooks.HookBus`.  See
+``run_until(t_ns)`` / ``run()`` plus checkpoint/resume.  The kernel
+takes at most one telemetry probe and at most one fault injector, and
+calls them (and the scheduler's core up/down callbacks) directly.  See
 ``docs/architecture.md`` for the layering.
 
 Event structure (unchanged): arrivals come pre-sorted from the

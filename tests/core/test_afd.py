@@ -83,15 +83,6 @@ class TestPromotionMechanics:
         assert afd.annex.count(1) == 5
         assert afd.demotions == 1
 
-    def test_no_demotion_when_disabled(self):
-        afd = AggressiveFlowDetector(
-            AFDConfig(afc_entries=1, promote_threshold=2, annex_entries=8,
-                      demote_victims=False)
-        )
-        feed(afd, [1] * 5)
-        feed(afd, [2] * 10)
-        assert 1 not in afd.annex
-
 
 class TestSchedulerInterface:
     def test_invalidate(self):
@@ -154,41 +145,6 @@ class TestSampling:
         feed(b, range(100))
         assert a.sampled == b.sampled
         assert a.annex.keys() == b.annex.keys()
-
-
-class TestDecay:
-    def test_decay_halves_counters(self):
-        afd = AggressiveFlowDetector(
-            AFDConfig(promote_threshold=2, decay_every=100)
-        )
-        feed(afd, [1] * 99)  # 1 promoted to the AFC with count ~98
-        count_before = afd.afc.count(1)
-        afd.observe(2)  # the 100th sampled packet triggers decay
-        assert afd.afc.count(1) == count_before >> 1
-
-    def test_decay_config_validation(self):
-        with pytest.raises(ValueError):
-            AFDConfig(decay_every=0)
-        with pytest.raises(ValueError):
-            AFDConfig(decay_shift=0)
-
-    def test_decay_tracks_regime_change(self):
-        """With aging, yesterday's elephants eventually yield their AFC
-        slots to today's (they would keep them forever without it)."""
-        old = list(range(4))
-        new = list(range(100, 104))
-        stream = old * 800 + new * 800
-
-        def final_afc(decay_every):
-            afd = AggressiveFlowDetector(
-                AFDConfig(afc_entries=4, annex_entries=32,
-                          promote_threshold=4, decay_every=decay_every)
-            )
-            feed(afd, stream)
-            return set(afd.aggressive_flows())
-
-        assert final_afc(None) == set(old)        # lifetime counts win
-        assert final_afc(200) == set(new)         # aged counts track now
 
 
 class TestInvariants:

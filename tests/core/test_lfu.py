@@ -63,19 +63,6 @@ class TestBasics:
         c.insert("a")
         assert c.hit("a")
         assert c.count("a") == 2
-        assert c.hits == 1 and c.misses == 1
-
-    def test_access_miss_inserts(self):
-        c = LFUCache(2)
-        hit, victim = c.access("a")
-        assert not hit and victim is None
-        assert "a" in c
-
-    def test_access_hit(self):
-        c = LFUCache(2)
-        c.insert("a")
-        hit, victim = c.access("a")
-        assert hit and victim is None
 
     def test_eviction_of_lfu(self):
         c = LFUCache(2)
@@ -180,38 +167,9 @@ class TestMinTracking:
         assert c.lfu_key() == "a"
 
 
-class TestDecay:
-    def test_decay_halves(self):
-        c = LFUCache(4)
-        c.insert("a", 8)
-        c.insert("b", 3)
-        c.decay()
-        assert c.count("a") == 4 and c.count("b") == 1
-
-    def test_decay_preserves_order(self):
-        c = LFUCache(2)
-        c.insert("a", 8)
-        c.insert("b", 2)
-        c.decay()
-        assert c.lfu_key() == "b"
-
-    def test_decay_zero_noop(self):
-        c = LFUCache(2)
-        c.insert("a", 8)
-        c.decay(0)
-        assert c.count("a") == 8
-
-    def test_decay_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LFUCache(2).decay(-1)
-
-    def test_decay_empty(self):
-        LFUCache(2).decay()  # must not raise
-
-
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["hit", "insert", "access", "invalidate"]),
+        st.sampled_from(["hit", "insert", "invalidate"]),
         st.integers(0, 12),
     ),
     max_size=200,
@@ -231,11 +189,6 @@ class TestModelEquivalence:
                 v_fast = fast.insert(key)
                 v_ref = ref.insert(key)
                 assert v_fast == v_ref
-            elif op == "access":
-                hit_fast, v_fast = fast.access(key)
-                hit_ref = ref.hit(key)
-                v_ref = None if hit_ref else ref.insert(key)
-                assert hit_fast == hit_ref and v_fast == v_ref
             else:
                 present_ref = key in ref.counts
                 if present_ref:

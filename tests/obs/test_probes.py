@@ -34,6 +34,15 @@ class FakeMetrics:
         self.dropped_per_service = [0]
 
 
+class FakeView:
+    """The two attributes of the sampler view protocol that the queue
+    and progress samplers read (a running kernel has all five)."""
+
+    def __init__(self, occ, metrics):
+        self.queues = FakeQueues(occ)
+        self.metrics = metrics
+
+
 class TestPeriodSemantics:
     def test_invalid_period(self):
         with pytest.raises(ConfigError):
@@ -42,26 +51,26 @@ class TestPeriodSemantics:
     def test_one_sample_per_call_no_backfill(self):
         probe = TelemetryProbe(100, [ProgressSampler()])
         m = FakeMetrics()
-        probe.maybe_sample(250, FakeQueues([0]), m)
+        probe.maybe_sample(250, FakeView([0], m))
         assert probe.times_ns == [250]
         m.dropped = 9
-        probe.maybe_sample(260, FakeQueues([0]), m)   # same period
+        probe.maybe_sample(260, FakeView([0], m))   # same period
         assert probe.num_samples == 1
-        probe.maybe_sample(301, FakeQueues([0]), m)
+        probe.maybe_sample(301, FakeView([0], m))
         assert probe.times_ns == [250, 301]
         assert [r["dropped"] for r in probe.records] == [0, 9]
 
     def test_samples_once_per_boundary(self):
         probe = TelemetryProbe(100, [ProgressSampler()])
         for t in (0, 120, 130, 200):   # 130 shares 120's period
-            probe.maybe_sample(t, FakeQueues([0]), FakeMetrics())
+            probe.maybe_sample(t, FakeView([0], FakeMetrics()))
         assert probe.times_ns == [0, 120, 200]
 
 
 class TestSamplers:
     def test_queue_occupancy_columns(self):
         probe = TelemetryProbe(10, [QueueOccupancySampler()])
-        probe.maybe_sample(0, FakeQueues([2, 5]), FakeMetrics())
+        probe.maybe_sample(0, FakeView([2, 5], FakeMetrics()))
         row = probe.records[0]
         assert row["occupancy"] == [2, 5]
         assert row["occ_max"] == 5 and row["occ_min"] == 2
@@ -69,28 +78,29 @@ class TestSamplers:
     def test_occupancy_matrix(self):
         probe = TelemetryProbe(10, [QueueOccupancySampler()])
         assert probe.occupancy_matrix().shape == (0, 0)
-        probe.maybe_sample(0, FakeQueues([3, 7]), FakeMetrics())
-        probe.maybe_sample(10, FakeQueues([1, 0]), FakeMetrics())
+        probe.maybe_sample(0, FakeView([3, 7], FakeMetrics()))
+        probe.maybe_sample(10, FakeView([1, 0], FakeMetrics()))
         np.testing.assert_array_equal(probe.occupancy_matrix(), [[3, 7], [1, 0]])
 
     def test_unbound_rich_samplers_degrade_to_empty(self):
-        """Scheduler/reorder samplers need the bound simulator; without
-        it they contribute nothing rather than crashing."""
+        """Scheduler/reorder samplers need a view with those attributes
+        (the kernel); without them they contribute nothing rather than
+        crashing."""
         probe = TelemetryProbe(10, [SchedulerSampler(), ReorderSampler()])
-        probe.maybe_sample(0, FakeQueues([0]), FakeMetrics())
+        probe.maybe_sample(0, FakeView([0], FakeMetrics()))
         assert probe.records == [{"t_ns": 0}]
 
     def test_per_service_progress(self):
         probe = TelemetryProbe(10, [ProgressSampler(per_service=True)])
-        probe.maybe_sample(0, FakeQueues([0]), FakeMetrics())
+        probe.maybe_sample(0, FakeView([0], FakeMetrics()))
         assert probe.records[0]["dropped_per_service"] == [0]
 
     def test_column_accessor(self):
         probe = TelemetryProbe(10, [ProgressSampler()])
         m = FakeMetrics()
-        probe.maybe_sample(0, FakeQueues([0]), m)
+        probe.maybe_sample(0, FakeView([0], m))
         m.departed = 4
-        probe.maybe_sample(10, FakeQueues([0]), m)
+        probe.maybe_sample(10, FakeView([0], m))
         np.testing.assert_array_equal(probe.column("departed"), [0.0, 4.0])
 
 
@@ -114,7 +124,7 @@ class TestEndToEnd:
         rep = simulate(small_workload, FCFSScheduler(), small_config, probe=probe)
         assert probe.num_samples > 5
         row = probe.records[-1]
-        # all four default samplers contributed (probe was bound)
+        # all four default samplers contributed (the kernel is the view)
         assert "occupancy" in row and "departed" in row
         assert "out_of_order" in row and "in_flight_gaps" in row
         assert row["departed"] == rep.departed
@@ -144,7 +154,7 @@ class TestEndToEnd:
 class TestFaultStateSampler:
     def test_without_injector_contributes_nothing(self):
         probe = TelemetryProbe(10, [FaultStateSampler()])
-        probe.maybe_sample(0, FakeQueues([0]), FakeMetrics())
+        probe.maybe_sample(0, FakeView([0], FakeMetrics()))
         assert probe.records == [{"t_ns": 0}]
 
     def test_fault_state_sampled_during_run(self, small_workload, small_config):

@@ -1,4 +1,4 @@
-"""Tests for the steppable kernel: hook bus, stepping, checkpoint/resume,
+"""Tests for the steppable kernel: stepping, observers, checkpoint/resume,
 drain-phase edge cases and run-to-run determinism."""
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.faults.events import CoreFail, CoreRecover, CoreSlowdown, FaultSchedule
 from repro.faults.injector import FaultInjector
 from repro.net.service import Service, ServiceSet
@@ -15,7 +15,6 @@ from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.hash_static import StaticHashScheduler
 from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
-from repro.sim.hooks import HOOK_EVENTS, HookBus
 from repro.sim.kernel import CHECKPOINT_VERSION, Checkpoint, SimKernel
 from repro.sim.source import StreamingSource
 from repro.sim.system import simulate
@@ -70,53 +69,6 @@ def trace_workload(num_packets=4_000, duration_ns=units.ms(1), seed=0):
 
 def laps(seed=3):
     return LAPSScheduler(LAPSConfig(num_services=1), rng=seed)
-
-
-# ----------------------------------------------------------------------
-class TestHookBus:
-    def test_unknown_event_rejected(self):
-        bus = HookBus()
-        with pytest.raises(ConfigError, match="unknown hook event"):
-            bus.subscribe("nope", lambda: None)
-
-    def test_frozen_bus_rejects_subscription(self):
-        bus = HookBus()
-        bus.freeze()
-        with pytest.raises(SimulationError, match="frozen"):
-            bus.subscribe("sample", lambda t: None)
-
-    def test_dispatcher_zero_one_many(self):
-        bus = HookBus()
-        assert bus.dispatcher("queue_empty") is None
-        seen = []
-        one = seen.append
-        bus.subscribe("queue_empty", one)
-        # single subscriber: the callback itself, no wrapper
-        assert bus.dispatcher("queue_empty") is one
-        bus.subscribe("queue_empty", lambda x: seen.append(-x))
-        fan = bus.dispatcher("queue_empty")
-        fan(5)
-        assert seen == [5, -5]
-
-    def test_sample_period_tracks_minimum(self):
-        bus = HookBus()
-        bus.subscribe("sample", lambda t: None, period_ns=500)
-        bus.subscribe("sample", lambda t: None, period_ns=200)
-        bus.subscribe("sample", lambda t: None, period_ns=900)
-        assert bus.sample_period_ns == 200
-
-    def test_period_only_for_sample(self):
-        bus = HookBus()
-        with pytest.raises(ConfigError):
-            bus.subscribe("queue_empty", lambda c, t: None, period_ns=10)
-        with pytest.raises(ConfigError):
-            bus.subscribe("sample", lambda t: None, period_ns=0)
-
-    def test_all_declared_events_subscribable(self):
-        bus = HookBus()
-        for event in HOOK_EVENTS:
-            bus.subscribe(event, lambda *a: None)
-            assert bus.has(event)
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +133,50 @@ class TestKernelEquivalence:
             kernel.run_until(units.ms(1))
         with pytest.raises(SimulationError):
             kernel.checkpoint()
+
+
+# ----------------------------------------------------------------------
+class TestObservers:
+    def test_one_probe_per_kernel(self):
+        kernel = SimKernel(small_config(), StaticHashScheduler(),
+                           manual_workload([0], [0]))
+        kernel.attach_probe(queue_probe(100))
+        with pytest.raises(SimulationError, match="at most one probe"):
+            kernel.attach_probe(queue_probe(100))
+
+    def test_observer_attached_mid_run_is_honoured_or_refused(self):
+        """A probe or injector attached between advances takes effect
+        from that instant, or the attach raises: it is never silently
+        ignored.  hash-static drains spans until the attach, so the
+        compiled loop must pick the injector up."""
+        wl = trace_workload()
+        cfg = small_config(num_cores=8)
+        last = int(wl.arrival_ns[-1])
+        mid = last // 4
+        schedule = FaultSchedule([
+            CoreFail(last // 2, core_id=2),
+            CoreRecover(3 * last // 4, core_id=2),
+        ])
+        expected = simulate(wl, StaticHashScheduler(), cfg,
+                            injector=FaultInjector(schedule))
+        kernel = SimKernel(cfg, StaticHashScheduler(), wl)
+        kernel.run_until(mid)
+        assert kernel.span_stats["packets_spanned"] > 0
+        probe = queue_probe(units.us(50))
+        kernel.attach_probe(probe)
+        injector = FaultInjector(schedule)
+        kernel.attach_injector(injector)
+        assert kernel.run() == expected
+        assert injector.events_applied == 2
+        assert probe.num_samples > 0 and min(probe.times_ns) >= mid
+
+        # a schedule that starts in the run's past is refused whole
+        late = SimKernel(cfg, StaticHashScheduler(), wl)
+        late.run_until(last // 2 + 1)
+        with pytest.raises(SimulationError, match="before the run's current time"):
+            late.attach_injector(FaultInjector(schedule))
+        assert late.injector is None
+        assert late.run() == simulate(wl, StaticHashScheduler(), cfg)
 
 
 # ----------------------------------------------------------------------

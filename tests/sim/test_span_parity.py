@@ -22,6 +22,7 @@ import pytest
 from repro import units
 from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
+from repro.obs import TelemetryProbe
 from repro.obs.manifest import RunManifest
 from repro.sim import system
 from repro.sim.events import EventQueue
@@ -39,10 +40,12 @@ from tests.schedulers.test_assign_batch import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _run(name, vectorized, *, chunk_size=None, faulted=False, seed=3):
+def _run(name, vectorized, *, chunk_size=None, faulted=False, probed=False,
+         seed=3):
     wl = _workload(seed, chunk_size)
     injector = FaultInjector(_faults()) if faulted else None
-    return simulate(wl, _kernel_sched(name), _config(),
+    probe = TelemetryProbe(units.us(50)) if probed else None
+    return simulate(wl, _kernel_sched(name), _config(), probe=probe,
                     injector=injector, vectorized=vectorized)
 
 
@@ -66,6 +69,16 @@ def test_span_bit_identical_faulted(name):
     assert _run(name, True, faulted=True) == _run(name, False, faulted=True)
 
 
+@pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "faulted"])
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+def test_probe_does_not_change_the_report(name, faulted):
+    """Observing a run never changes it: with a probe (the full sampler
+    battery) attached the report equals the unprobed one."""
+    assert _run(name, True, faulted=faulted, probed=True) == _run(
+        name, True, faulted=faulted
+    )
+
+
 @pytest.mark.parametrize("name", PLAN_SCHEDULERS)
 def test_spans_actually_commit(name):
     """Guard against the parity tests passing vacuously: every plan
@@ -83,10 +96,14 @@ def test_spans_actually_commit(name):
     assert oracle.span_stats["packets_spanned"] == 0
 
 
-def test_finished_kernel_is_freed_without_gc():
-    """The span driver holds no reference back to its kernel, so a
-    finished run (window, state, latency list) is released by
-    reference counting alone, not left for a cyclic collection."""
+@pytest.mark.parametrize("observers", ["none", "injector", "probe", "both"])
+@pytest.mark.parametrize("name", KERNEL_SCHEDULERS)
+def test_finished_kernel_is_freed_without_gc(name, observers):
+    """Nothing holds a finished run alive: the span driver, the
+    injector and the probe take the kernel as an argument instead of
+    storing it, and finalize() drops the compiled closures, so the run
+    (window, state, latency list) is released by reference counting
+    alone, not left for a cyclic collection."""
     refs = []
 
     class Recorded(SimKernel):
@@ -94,11 +111,17 @@ def test_finished_kernel_is_freed_without_gc():
             super().__init__(*args, **kwargs)
             refs.append(weakref.ref(self))
 
+    injector = probe = None
+    if observers in ("injector", "both"):
+        injector = FaultInjector(_faults())
+    if observers in ("probe", "both"):
+        probe = TelemetryProbe(units.us(50))
     original = system.SimKernel
     gc.disable()
     try:
         system.SimKernel = Recorded
-        simulate(_workload(3, None), _kernel_sched("hash-static"), _config())
+        simulate(_workload(3, None), _kernel_sched(name), _config(),
+                 probe=probe, injector=injector)
         assert len(refs) == 1
         assert refs[0]() is None
     finally:

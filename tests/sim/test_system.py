@@ -193,21 +193,6 @@ class TestGuards:
         assert rep.latency_ns["mean"] == 0.0
 
 
-class TestSchedulerNotifications:
-    def test_queue_edge_callbacks_fire(self, small_workload, small_config):
-        events = []
-
-        class Recording(FCFSScheduler):
-            def on_queue_busy(self, core_id, t_ns):
-                events.append("busy")
-
-            def on_queue_empty(self, core_id, t_ns):
-                events.append("empty")
-
-        simulate(small_workload, Recording(), small_config)
-        assert "busy" in events and "empty" in events
-
-
 class TestEndToEndSchedulers:
     @pytest.mark.parametrize(
         "name", ["fcfs", "hash-static", "afs", "topk", "laps"]
