@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.lfu import LFUCache
+from repro.errors import ConfigError
 from repro.util.rng import make_rng
 
 __all__ = ["AFDConfig", "AggressiveFlowDetector"]
@@ -48,15 +49,15 @@ class AFDConfig:
 
     def __post_init__(self) -> None:
         if self.afc_entries <= 0:
-            raise ValueError(f"afc_entries must be positive, got {self.afc_entries}")
+            raise ConfigError(f"afc_entries must be positive, got {self.afc_entries}")
         if self.annex_entries <= 0:
-            raise ValueError(f"annex_entries must be positive, got {self.annex_entries}")
+            raise ConfigError(f"annex_entries must be positive, got {self.annex_entries}")
         if self.promote_threshold < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"promote_threshold must be >= 1, got {self.promote_threshold}"
             )
         if not 0.0 < self.sample_prob <= 1.0:
-            raise ValueError(f"sample_prob must be in (0, 1], got {self.sample_prob}")
+            raise ConfigError(f"sample_prob must be in (0, 1], got {self.sample_prob}")
 
 
 class AggressiveFlowDetector:
@@ -80,25 +81,24 @@ class AggressiveFlowDetector:
     # per-packet path
     # ------------------------------------------------------------------
     def observe(self, flow_id: int) -> None:
-        """Account one packet of *flow_id* (honouring sampling)."""
+        """Account one packet of *flow_id* (honouring sampling): one
+        probe of each level, as in Fig. 4."""
         self.observed += 1
-        if self.config.sample_prob < 1.0 and self._rng.random() >= self.config.sample_prob:
+        cfg = self.config
+        if cfg.sample_prob < 1.0 and self._rng.random() >= cfg.sample_prob:
             return
         self.sampled += 1
-        self._observe_sampled(flow_id)
-
-    def _observe_sampled(self, flow_id: int) -> None:
         if self.afc.hit(flow_id):
             return
-        if self.annex.hit(flow_id):
-            if self.annex.count(flow_id) >= self.config.promote_threshold:
-                self._try_promote(flow_id)
-            return
-        self.annex.insert(flow_id)
+        count = self.annex.hit(flow_id)
+        if not count:
+            self.annex.insert(flow_id)
+        elif count >= cfg.promote_threshold:
+            self._try_promote(flow_id, count)
 
-    def _try_promote(self, flow_id: int) -> None:
-        """Promote annex -> AFC iff the candidate out-ranks the AFC's
-        weakest resident.
+    def _try_promote(self, flow_id: int, count: int) -> None:
+        """Promote annex -> AFC iff the candidate, at annex count
+        *count*, out-ranks the AFC's weakest resident.
 
         "A flow deserves to enter AFC only if it proves its right to be
         in AFC" (Sec. III-F): crossing the annex threshold earns a
@@ -114,16 +114,15 @@ class AggressiveFlowDetector:
         displaced elephant keeps its standing (the victim-cache
         "inertia" of Sec. III-F) instead of restarting from one.
         """
-        victim = None
+        afc = self.afc
         victim_count = 0
-        if self.afc.is_full:
-            victim = self.afc.lfu_key()
-            victim_count = self.afc.count(victim)
-            if self.annex.count(flow_id) <= victim_count:
+        if afc.is_full:
+            victim_count = afc.count(afc.lfu_key())
+            if count <= victim_count:
                 return  # challenge failed: stay in the annex
-            self.afc.evict(victim)
-        count = self.annex.evict(flow_id)
-        self.afc.insert(flow_id, count)
+        self.annex.evict(flow_id)
+        # a full AFC evicts its LFU resident, the victim counted above
+        victim = afc.insert(flow_id, count)
         self.promotions += 1
         if victim is not None:
             self.annex.insert(victim, victim_count)

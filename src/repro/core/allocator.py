@@ -30,6 +30,7 @@ donor's "last core" guard.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import ConfigError, SchedulerError
@@ -53,7 +54,14 @@ class CoreTransfer:
 
 
 class CoreAllocator:
-    """Ownership + surplus bookkeeping for a pool of cores."""
+    """Ownership + surplus bookkeeping for a pool of cores.
+
+    ``LAPSScheduler.select_core`` reads three fields in place on every
+    packet: ``_owner[c]`` (core c's service, ``-1`` for a foreign
+    core), ``busy_occupancy``, and the quietness clock
+    ``_last_busy_ns[c]``, which it also writes as :meth:`note_load`
+    and :meth:`touch` would.
+    """
 
     def __init__(
         self,
@@ -238,29 +246,27 @@ class CoreAllocator:
         must bump its ``map_epoch`` along with the map-table updates; an
         internal reclaim changes no routing state and needs no bump.
         """
-        own = self.surplus_cores(t_ns, service_id)
-        if own:
-            core = own[0]
-            self.touch(core, t_ns)  # unmark
-            self.internal_reclaims += 1
-            return CoreTransfer(core, service_id, service_id)
+        # one longest-quiet-first list serves both preferences: the
+        # service's own surplus cores are its sub-list, in that order
         everyone = self.surplus_cores(t_ns)
-        # never strip a donor's last online core: each service keeps >= 1
-        donors = [
-            c
-            for c in everyone
-            if self._owner[c] != service_id
-            and len(self.online_cores_of(self._owner[c])) > 1
-        ]
-        if not donors:
-            self.denied_requests += 1
-            return None
-        core = donors[0]
-        donor = self._owner[core]
-        self._owner[core] = service_id
-        self.touch(core, t_ns)
-        self.transfers += 1
-        return CoreTransfer(core, donor, service_id)
+        owner = self._owner
+        for core in everyone:
+            if owner[core] == service_id:
+                self.touch(core, t_ns)  # unmark
+                self.internal_reclaims += 1
+                return CoreTransfer(core, service_id, service_id)
+        if everyone:
+            # never strip a donor's last online core: each service keeps >= 1
+            online = Counter(s for c, s in enumerate(owner) if c not in self._offline)
+            for core in everyone:
+                donor = owner[core]
+                if online[donor] > 1:
+                    owner[core] = service_id
+                    self.touch(core, t_ns)
+                    self.transfers += 1
+                    return CoreTransfer(core, donor, service_id)
+        self.denied_requests += 1
+        return None
 
     def force_transfer(self, core_id: int, to_service: int) -> CoreTransfer:
         """Unconditionally reassign a core (administrative/test hook)."""

@@ -22,17 +22,24 @@ spec (or a test's identity hash) can front it.
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
+
 __all__ = ["IncrementalHash"]
 
 
 class IncrementalHash:
-    """Linear-hashing bucket mapper with grow/shrink by one bucket."""
+    """Linear-hashing bucket mapper with grow/shrink by one bucket.
+
+    ``LAPSScheduler.select_core`` computes :meth:`bucket_of` itself on
+    every packet from ``_m`` (the level size ``m``) and ``_buckets``
+    (the bucket count ``b``), so those two fields keep that meaning.
+    """
 
     __slots__ = ("_initial_m", "_m", "_buckets")
 
     def __init__(self, initial_buckets: int) -> None:
         if initial_buckets <= 0:
-            raise ValueError(f"need at least one bucket, got {initial_buckets}")
+            raise ConfigError(f"need at least one bucket, got {initial_buckets}")
         self._initial_m = initial_buckets
         self._m = initial_buckets
         self._buckets = initial_buckets

@@ -17,9 +17,14 @@ Per arriving packet (Sec. III-E):
    via incremental hashing, and the packet is re-looked-up.
 
 Idle timers (Sec. III-D) run on the allocator's quietness clock: per
-routed packet, ``note_load`` resets a core's clock when its occupancy
-reaches ``busy_occupancy``, and a core whose clock is older than
-``idle_threshold_ns`` is surplus and can be donated.
+routed packet, the scheduler resets a core's clock when its occupancy
+reaches ``busy_occupancy`` (the rule of ``CoreAllocator.note_load``),
+and a core whose clock is older than ``idle_threshold_ns`` is surplus
+and can be donated.
+
+Steps 1, 2 and the clock update read the tables' fields in place
+rather than through their methods: every packet takes this path, and
+the fields it reads are named in each table's class docstring.
 """
 
 from __future__ import annotations
@@ -181,37 +186,54 @@ class LAPSScheduler(Scheduler):
                 f"is configured with LAPSConfig(num_services="
                 f"{cfg.num_services}), services 0..{cfg.num_services - 1}"
             ) from None
-        allocator = self.allocator
 
         # background AFD update (not on the critical path in hardware)
         self.afd.observe(flow_id)
+
+        # each routed packet feeds the allocator's quietness clock, as
+        # CoreAllocator.note_load does
+        occ = self._loads.occ
+        allocator = self.allocator
+        last_busy = allocator._last_busy_ns
+        busy = allocator.busy_occupancy
 
         # 1. migration table has priority over the map table (Sec. III-E
         # step 1): a migrated flow stays pinned.  Re-balancing it on
         # every overload would hot-potato elephants between cores,
         # paying the FM penalty and reordering on every hop.
-        occ = self._loads.occ
-        pinned = self.migration.lookup(flow_id)
+        pinned = self.migration._entries.get(flow_id)
         if pinned is not None:
-            if allocator.owner_of(pinned) == service_id:
-                allocator.note_load(pinned, occ[pinned], t_ns)
+            if allocator._owner[pinned] == service_id:
+                if occ[pinned] >= busy:
+                    last_busy[pinned] = t_ns
                 return pinned
             # the pinned core was donated away: entry is stale
             self.migration.remove(flow_id)
             self.stale_migrations_dropped += 1
 
-        # 2. default hash lookup
-        target = table.lookup(flow_hash)
+        # 2. default hash lookup: the linear hash's bucket (Sec. III-C)
+        # indexes the service's bucket list
+        if flow_hash < 0:
+            raise ValueError(f"hash values must be >= 0, got {flow_hash}")
+        lin = table._hash
+        m = lin._m
+        bucket = flow_hash % m
+        if bucket < lin._buckets - m:
+            bucket = flow_hash % (2 * m)
+        cores = table._cores
+        target = cores[bucket]
         load = occ[target]
-        allocator.note_load(target, load, t_ns)
+        if load >= busy:
+            last_busy[target] = t_ns
 
         # 3. load-balancing path (Listing 1)
-        if load >= cfg.high_threshold:
+        high = cfg.high_threshold
+        if load >= high:
             self.imbalance_events += 1
-            minq_core = self._min_queue_core(table.cores)
-            if occ[minq_core] < cfg.high_threshold:
+            # findMinQ over the service's bucket list
+            if min(map(occ.__getitem__, cores)) < high:
                 if self.afd.is_aggressive(flow_id):
-                    dest = self._placement_target(table.cores, cfg.high_threshold)
+                    dest = self._placement_target(cores, high)
                     if dest is not None and dest != target:
                         self.migration.add(flow_id, dest)
                         self.afd.invalidate(flow_id)
@@ -220,10 +242,9 @@ class LAPSScheduler(Scheduler):
             else:
                 # every core of this service is overloaded: none of them
                 # can be surplus, so record that before asking for help
-                for core in table.cores:
-                    allocator.touch(core, t_ns)
-                granted = self._request_core(service_id, t_ns)
-                if granted:
+                for core in cores:
+                    last_busy[core] = t_ns
+                if self._request_core(service_id, t_ns):
                     target = table.lookup(flow_hash)
         return target
 

@@ -18,7 +18,11 @@ __all__ = ["ServiceMapTable"]
 
 
 class ServiceMapTable:
-    """One service's bucket list plus its incremental hash."""
+    """One service's bucket list plus its incremental hash.
+
+    ``LAPSScheduler.select_core`` reads ``_cores`` (bucket -> core)
+    and ``_hash`` in place on every packet, as :meth:`lookup` does.
+    """
 
     __slots__ = ("service_id", "_cores", "_hash")
 

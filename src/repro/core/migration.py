@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.errors import ConfigError
+
 __all__ = ["MigrationTable"]
 
 
@@ -26,13 +28,16 @@ class MigrationTable:
     balancer can see how many migrated flows it has already steered to
     each core — the instantaneous queue alone lags a just-installed
     elephant by the queue drain time, so placement consults both.
+
+    ``LAPSScheduler.select_core`` reads ``_entries`` (flow -> core) in
+    place on every packet, as :meth:`lookup` does.
     """
 
     __slots__ = ("_capacity", "_entries", "_per_core", "insertions", "evictions")
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+            raise ConfigError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._entries: OrderedDict[int, int] = OrderedDict()
         self._per_core: dict[int, int] = {}

@@ -571,9 +571,9 @@ class SimKernel:
         on_depart = reorder.on_depart
         busy_ns = metrics.busy_ns_per_core
         # per-core FIFO deques and the bank's occ list, hoisted past
-        # QueueBank.__getitem__ and BoundedQueue.take/is_empty (both
-        # are mutated in place for a bank's whole lifetime, so the
-        # bindings stay valid)
+        # QueueBank.__getitem__ and BoundedQueue.take: the loop tests
+        # and pops a deque itself (both are mutated in place for a
+        # bank's whole lifetime, so the bindings stay valid)
         q_items = [q._items for q in queues]
         occ = queues.occ
 
@@ -665,11 +665,6 @@ class SimKernel:
 
         self._start_packet = start_packet
         self._complete_until = complete_until
-
-    @property
-    def active(self) -> bool:
-        """The hot loop is compiled for the current window."""
-        return self._start_packet is not None
 
     @property
     def span_stats(self) -> dict[str, int]:

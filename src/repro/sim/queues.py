@@ -65,14 +65,6 @@ class BoundedQueue:
         """Write this queue's load to its ``occ`` entry."""
         self._occ[self._idx] = self.capacity if self.down else len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
     def offer(self, item: int) -> bool:
         """Enqueue *item*; False (and a drop) when full or down."""
         items = self._items

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.afd import AFDConfig, AggressiveFlowDetector
+from repro.util.rng import make_rng
+from tests.core.test_lfu import NaiveLFU, lfu_order
 
 
 def feed(afd, flow_ids):
@@ -168,3 +172,95 @@ class TestInvariants:
             afd.observe(int(f))
         assert len(afd.afc) <= 4
         assert len(afd.annex) <= 8
+
+
+class NaiveAFD:
+    """Reference detector: Fig. 4's arrows and the promotion challenge
+    over two :class:`NaiveLFU` levels, drawing the same sampling
+    numbers as :class:`AggressiveFlowDetector` from the same seed."""
+
+    def __init__(self, config, rng=None):
+        self.config = config
+        self._rng = make_rng(rng)
+        self.reset()
+
+    def reset(self):
+        self.afc = NaiveLFU(self.config.afc_entries)
+        self.annex = NaiveLFU(self.config.annex_entries)
+        self.promotions = self.demotions = 0
+        self.observed = self.sampled = 0
+
+    def observe(self, flow_id):
+        cfg = self.config
+        self.observed += 1
+        if cfg.sample_prob < 1.0 and self._rng.random() >= cfg.sample_prob:
+            return
+        self.sampled += 1
+        if self.afc.hit(flow_id):
+            return
+        if not self.annex.hit(flow_id):
+            self.annex.insert(flow_id)
+            return
+        count = self.annex.counts[flow_id]
+        if count < cfg.promote_threshold:
+            return
+        victim = None
+        if len(self.afc.counts) >= self.afc.capacity:
+            victim = self.afc.lfu_key()
+            if count <= self.afc.counts[victim]:
+                return
+            victim_count = self.afc.evict(victim)
+        self.annex.evict(flow_id)
+        self.afc.insert(flow_id, count)
+        self.promotions += 1
+        if victim is not None:
+            self.annex.insert(victim, victim_count)
+            self.demotions += 1
+
+    def is_aggressive(self, flow_id):
+        return flow_id in self.afc.counts
+
+    def invalidate(self, flow_id):
+        if flow_id in self.afc.counts:
+            self.afc.evict(flow_id)
+            return True
+        return False
+
+
+def detector_state(afd):
+    """Both levels in eviction order, with counts, and the counters."""
+    if isinstance(afd, NaiveAFD):
+        levels = (afd.afc.order(), afd.annex.order())
+    else:
+        levels = (lfu_order(afd.afc), lfu_order(afd.annex))
+    return levels + (afd.promotions, afd.demotions, afd.observed, afd.sampled)
+
+
+#: a few hot flows among many cold ones, so promotions, failed
+#: challenges and demotions all happen in short sequences
+flow_ids = st.lists(
+    st.one_of(st.integers(0, 3), st.integers(0, 40)), min_size=30, max_size=300
+)
+
+
+class TestNaiveTwin:
+    @given(
+        afc=st.integers(1, 4),
+        annex=st.integers(2, 16),
+        threshold=st.integers(1, 8),
+        sample_prob=st.sampled_from([1.0, 0.5]),
+        seed=st.integers(0, 2**16),
+        flows=flow_ids,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_detector(self, afc, annex, threshold, sample_prob, seed, flows):
+        cfg = AFDConfig(
+            afc_entries=afc, annex_entries=annex,
+            promote_threshold=threshold, sample_prob=sample_prob,
+        )
+        fast = AggressiveFlowDetector(cfg, rng=seed)
+        ref = NaiveAFD(cfg, rng=seed)
+        for flow in flows:
+            fast.observe(flow)
+            ref.observe(flow)
+            assert detector_state(fast) == detector_state(ref)

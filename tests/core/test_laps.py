@@ -1,6 +1,8 @@
 """Unit tests for the LAPS scheduler against a scripted load view."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.core.afd import AFDConfig
@@ -8,6 +10,7 @@ from repro.core.laps import LAPSConfig, LAPSScheduler
 from repro.errors import ConfigError, SchedulerError
 from repro.experiments import tournament
 from repro.sim.system import simulate
+from tests.core.test_afd import NaiveAFD, detector_state
 
 
 class FakeLoads:
@@ -211,3 +214,135 @@ class TestStats:
         assert "migrations_installed" in stats
         assert "core_transfers" in stats
         assert "afd_promotions" in stats
+
+
+class ReferenceLAPS(LAPSScheduler):
+    """LAPS deciding each packet through the tables' methods, step by
+    step as Sec. III-E reads, over :class:`NaiveAFD` (seeded like the
+    real detector, so sampled runs draw the same numbers)."""
+
+    def __init__(self, config, rng):
+        super().__init__(config, rng=rng)
+        self.afd = NaiveAFD(self.config.afd, rng=rng)
+
+    def select_core(self, flow_id, service_id, flow_hash, t_ns):
+        cfg = self.config
+        table = self.map_tables[service_id]
+        allocator = self.allocator
+        self.afd.observe(flow_id)
+        occ = self.loads.occ
+        pinned = self.migration.lookup(flow_id)
+        if pinned is not None:
+            if allocator.owner_of(pinned) == service_id:
+                allocator.note_load(pinned, occ[pinned], t_ns)
+                return pinned
+            self.migration.remove(flow_id)
+            self.stale_migrations_dropped += 1
+        target = table.lookup(flow_hash)
+        load = occ[target]
+        allocator.note_load(target, load, t_ns)
+        if load >= cfg.high_threshold:
+            self.imbalance_events += 1
+            minq_core = self._min_queue_core(table.cores)
+            if occ[minq_core] < cfg.high_threshold:
+                if self.afd.is_aggressive(flow_id):
+                    dest = self._placement_target(table.cores, cfg.high_threshold)
+                    if dest is not None and dest != target:
+                        self.migration.add(flow_id, dest)
+                        self.afd.invalidate(flow_id)
+                        self.migrations_installed += 1
+                        return dest
+            else:
+                for core in table.cores:
+                    allocator.touch(core, t_ns)
+                if self._request_core(service_id, t_ns):
+                    target = table.lookup(flow_hash)
+        return target
+
+
+def laps_state(sched):
+    """Everything a decision can change: counters, both detector
+    levels, the migration table, the allocator and the map tables."""
+    alloc = sched.allocator
+    cores = range(alloc.num_cores)
+    return (
+        sched.stats(),
+        detector_state(sched.afd),
+        sched.migration.items(),
+        [alloc.last_busy_ns(c) for c in cores],
+        [alloc.owner_of(c) for c in cores],
+        alloc.offline_cores,
+        {sid: sched.cores_of(sid) for sid in sched.map_tables},
+    )
+
+
+class TestReferenceTwin:
+    """The flattened ``select_core`` makes the reference's decisions."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, data):
+        draw = data.draw
+        num_cores = draw(st.integers(2, 8), label="cores")
+        num_services = draw(st.integers(1, min(3, num_cores)), label="services")
+        capacity = draw(st.integers(2, 8), label="capacity")
+        afd = AFDConfig(
+            afc_entries=draw(st.integers(1, 4)),
+            annex_entries=draw(st.integers(2, 8)),
+            promote_threshold=draw(st.integers(1, 4)),
+            sample_prob=draw(st.sampled_from([1.0, 0.5])),
+        )
+        cfg = LAPSConfig(
+            num_services=num_services,
+            high_threshold=draw(st.integers(1, capacity)),
+            idle_threshold_ns=draw(st.integers(0, 200)),
+            migration_table_entries=draw(st.integers(1, 4)),
+            pin_weight=draw(st.integers(0, 4)),
+            afd=afd,
+        )
+        seed = draw(st.integers(0, 2**16), label="seed")
+        loads = FakeLoads(num_cores, capacity)
+        flat = LAPSScheduler(cfg, rng=seed)
+        ref = ReferenceLAPS(cfg, rng=seed)
+        flat.bind(loads)
+        ref.bind(loads)
+        # a flow keeps its service and hash, as in a trace
+        flows = {}
+        down = set()
+        t = 0
+        ops = draw(st.lists(st.integers(0, 9), min_size=40, max_size=200), label="ops")
+        for op in ops:
+            t += draw(st.integers(0, 60))
+            if op <= 5:
+                flow = draw(st.integers(0, 11))
+                if flow not in flows:
+                    flows[flow] = (
+                        draw(st.integers(0, num_services - 1)),
+                        draw(st.integers(0, 2**16 - 1)),
+                    )
+                service, flow_hash = flows[flow]
+                core = flat.select_core(flow, service, flow_hash, t)
+                assert core == ref.select_core(flow, service, flow_hash, t)
+            elif op <= 7:
+                occ = draw(st.lists(
+                    st.integers(0, capacity), min_size=num_cores, max_size=num_cores
+                ))
+                loads.occ[:] = [capacity if c in down else n for c, n in enumerate(occ)]
+            elif op == 8:
+                up = sorted(set(range(num_cores)) - down)
+                if not up:
+                    continue
+                core = draw(st.sampled_from(up))
+                down.add(core)
+                loads.occ[core] = capacity
+                flat.on_core_down(core, t)
+                ref.on_core_down(core, t)
+            else:
+                if not down:
+                    continue
+                core = draw(st.sampled_from(sorted(down)))
+                down.discard(core)
+                loads.occ[core] = 0
+                flat.on_core_up(core, t)
+                ref.on_core_up(core, t)
+            assert laps_state(flat) == laps_state(ref)

@@ -1,6 +1,8 @@
 """Tests for the O(1) LFU cache, including a model-based property test
 against a naive reference implementation."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +28,8 @@ class NaiveLFU:
         if key in self.counts:
             self.counts[key] += 1
             self._touch(key)
-            return True
-        return False
+            return self.counts[key]
+        return 0
 
     def lfu_key(self):
         return min(self.counts, key=lambda k: (self.counts[k], self.moved[k]))
@@ -51,6 +53,22 @@ class NaiveLFU:
         self.moved.pop(key)
         return self.counts.pop(key)
 
+    def order(self):
+        """``(key, count)`` pairs in eviction order."""
+        ranked = sorted(self.counts, key=lambda k: (self.counts[k], self.moved[k]))
+        return [(k, self.counts[k]) for k in ranked]
+
+
+def lfu_order(cache):
+    """``(key, count)`` pairs of an :class:`LFUCache` in eviction order,
+    read by evicting a copy's LFU entry until it is empty."""
+    cache = copy.deepcopy(cache)
+    out = []
+    while len(cache):
+        key = cache.lfu_key()
+        out.append((key, cache.evict(key)))
+    return out
+
 
 class TestBasics:
     def test_capacity_validation(self):
@@ -59,9 +77,9 @@ class TestBasics:
 
     def test_hit_miss(self):
         c = LFUCache(2)
-        assert not c.hit("a")
+        assert c.hit("a") == 0
         c.insert("a")
-        assert c.hit("a")
+        assert c.hit("a") == 2
         assert c.count("a") == 2
 
     def test_eviction_of_lfu(self):
@@ -167,9 +185,12 @@ class TestMinTracking:
         assert c.lfu_key() == "a"
 
 
+#: (op, key, count): ``evict`` takes the resident key at index
+#: ``key % len`` (skipped when empty); ``count`` is read by ``insert``
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["hit", "insert", "invalidate"]),
+        st.sampled_from(["hit", "insert", "invalidate", "evict"]),
+        st.integers(0, 12),
         st.integers(0, 12),
     ),
     max_size=200,
@@ -178,22 +199,24 @@ ops = st.lists(
 
 class TestModelEquivalence:
     @given(st.integers(1, 8), ops)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_naive_reference(self, capacity, operations):
         fast = LFUCache(capacity)
         ref = NaiveLFU(capacity)
-        for op, key in operations:
+        for op, key, count in operations:
             if op == "hit":
                 assert fast.hit(key) == ref.hit(key)
             elif op == "insert":
-                v_fast = fast.insert(key)
-                v_ref = ref.insert(key)
-                assert v_fast == v_ref
+                assert fast.insert(key, count) == ref.insert(key, count)
+            elif op == "evict":
+                if not ref.counts:
+                    continue
+                resident = sorted(ref.counts)[key % len(ref.counts)]
+                assert fast.evict(resident) == ref.evict(resident)
             else:
                 present_ref = key in ref.counts
                 if present_ref:
                     ref.evict(key)
                 assert fast.invalidate(key) == present_ref
-            assert set(fast.keys()) == set(ref.counts)
-            for k in ref.counts:
-                assert fast.count(k) == ref.counts[k]
+            # same residents and counts, in the same eviction order
+            assert lfu_order(fast) == ref.order()

