@@ -54,10 +54,6 @@ class ServiceMapTable:
         """Target core for an already-CRC16-hashed flow key."""
         return self._cores[self._hash.bucket_of(hashed_key)]
 
-    def bucket_of(self, hashed_key: int) -> int:
-        """Bucket index (exposed for migration bookkeeping and tests)."""
-        return self._hash.bucket_of(hashed_key)
-
     # ------------------------------------------------------------------
     def add_core(self, core_id: int) -> int:
         """Append *core_id* as a new bucket; returns the index of the

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 __all__ = ["SRAMModel", "LAPSTimingModel", "estimate_max_rate_mpps"]
 
 
@@ -41,7 +43,7 @@ class SRAMModel:
     def access_ns(self, words: int, width_bits: int) -> float:
         """Access latency of a ``words x width_bits`` array."""
         if words <= 0 or width_bits <= 0:
-            raise ValueError("words and width_bits must be positive")
+            raise ConfigError("words and width_bits must be positive")
         levels = math.log2(words) if words > 1 else 0.0
         wire = math.sqrt(words * width_bits)
         return (
@@ -68,9 +70,9 @@ class LAPSTimingModel:
 
     def __post_init__(self) -> None:
         if self.hash_ns <= 0 or self.mux_ns < 0:
-            raise ValueError("delays must be positive (mux may be 0)")
+            raise ConfigError("delays must be positive (mux may be 0)")
         if self.map_table_entries <= 0:
-            raise ValueError("map table needs at least one entry")
+            raise ConfigError("map table needs at least one entry")
 
     @property
     def map_table_ns(self) -> float:

@@ -12,12 +12,13 @@ case by draining a whole **span** of planned arrivals at once:
    core over replicated copies of the shared state (flow→last-core,
    migration flags).  Nothing global is touched, so a bail costs
    nothing.
-2. **Phase 2 — vectorized commit.**  The per-core results are merged
-   back into the exact scalar-kernel state: event seqs are assigned in
-   the precise global start order the scalar loop would have produced
-   (see below), departures/latencies/metrics/queues/flow state are
-   committed with numpy gathers, and the event heap's pending set is
-   replaced wholesale via ``reset_entries``.
+2. **Phase 2 — vectorized commit.**  The per-core results are laid
+   end to end in one set of arrays and merged back into the exact
+   scalar-kernel state: event seqs are assigned in the precise global
+   start order the scalar loop would have produced (see below),
+   departures/latencies/metrics/queues/flow state are committed with
+   numpy gathers, and the event heap's pending set is replaced
+   wholesale via ``reset_entries``.
 
 **Exactness, not approximation.**  The scalar closures remain the
 bit-identity oracle; a span only commits when its semantics are
@@ -48,18 +49,21 @@ one trigger *time* across cores; those groups are fixed up in trigger
 strictly earlier than the start it triggers (service times are
 positive), so its own rank is already final.
 
-**Reorder accounting.**  Departures and drops are replayed into the
-:class:`~repro.sim.reorder.ReorderDetector` per flow.  Flows whose
-accounted sequence numbers in merged depart/drop order are exactly
-consecutive from the detector's expectation (the overwhelming case for
-order-preserving schedulers) commit as one bulk counter update; any
-other flow replays its events through the real ``on_depart``/
-``on_drop`` methods — exact by construction.
+**Reorder accounting.**  The span's departures and drops, merged into
+the scalar loop's accounting order, go to the
+:class:`~repro.sim.reorder.ReorderDetector` as one batch
+(:meth:`~repro.sim.reorder.ReorderDetector.account_batch`).  The
+detector settles it with array operations — each touched flow's pending
+seqs folded in, one sort by (flow, seq), a per-flow running maximum of
+batch positions — and ends in exactly the state the per-event
+``on_depart``/``on_drop`` calls would leave, counters and pending sets
+included; the batch twin in ``tests/sim/test_reorder.py`` pins that.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -195,6 +199,7 @@ class SpanDriver:
             rows = [core_current[c]] if core_busy[c] else []
             rows.extend(queues[c]._items)
             pre_pkts.append(rows)
+        n_pre = [len(rows) for rows in pre_pkts]
         pre_all = [g for rows in pre_pkts for g in rows]
         n_win = len(win)
         if pre_all:
@@ -204,10 +209,7 @@ class SpanDriver:
             if int(nominal[pre_lrow].min()) <= 0:
                 return li
             pre_fid = win.flow_id[pre_lrow]
-            pre_core = np.repeat(
-                np.arange(n_cores, dtype=np.int64),
-                [len(rows) for rows in pre_pkts],
-            )
+            pre_core = np.repeat(np.arange(n_cores, dtype=np.int64), n_pre)
         else:
             pre_lrow = np.empty(0, dtype=np.int64)
             pre_fid = np.empty(0, dtype=np.int64)
@@ -221,9 +223,6 @@ class SpanDriver:
         fcore[inv] = all_core  # last write wins
         if not np.array_equal(fcore[inv], all_core):
             return li  # a flow spans two cores: write order matters
-        n_pre_all = pre_fid.size
-        inv_pre = inv[:n_pre_all]
-        inv_span = inv[n_pre_all:]
         flow_last_core = st.flow_last_core
         uniq_list = uniq.tolist()
         init_last = [flow_last_core[f] for f in uniq_list]
@@ -231,16 +230,22 @@ class SpanDriver:
         cap = cfg.queue_capacity
         fm_pen = cfg.fm_penalty_ns
         cc_pen = cfg.cc_penalty_ns
-        sid_win = win.service_id
-
-        # span rows grouped by core, arrival order preserved
-        order = np.argsort(cores, kind="stable")
-        bounds = np.searchsorted(cores[order], np.arange(n_cores + 1))
-        pre_off = np.zeros(n_cores + 1, dtype=np.int64)
-        np.cumsum([len(rows) for rows in pre_pkts], out=pre_off[1:])
-
         fn = self._fn
         last_service = st.core_last_service
+
+        # -- every core's rows, end to end -----------------------------
+        # a stable sort by core keeps each core's prelude rows (in
+        # service order) ahead of its span rows (in arrival order): the
+        # rows simulate_core takes.  Core c owns slots row_off[c] ..
+        # row_off[c + 1]; its local row r is slot row_off[c] + r.
+        slot = np.argsort(all_core, kind="stable")
+        row_off = np.searchsorted(all_core[slot], np.arange(n_cores + 1))
+        s_lrow = np.concatenate([pre_lrow, np.arange(li, hi)])[slot]
+        arr_l = arrival[s_lrow].tolist()  # prelude rows' are never read
+        proc_l = nominal[s_lrow].tolist()
+        sid_l = win.service_id[s_lrow].tolist()
+        floc_l = inv[slot].tolist()
+        row_off_l = row_off.tolist()
 
         # ==============================================================
         # Phase 1: per-core recurrences over replicated flow state.
@@ -251,21 +256,12 @@ class SpanDriver:
         migrated = [0] * len(init_last)
         per_core = []
         for c in range(n_cores):
-            rows_c = order[bounds[c] : bounds[c + 1]]
-            n_pre_c = len(pre_pkts[c])
-            hb = 1 if core_busy[c] else 0
-            n_rows = n_pre_c + rows_c.size
+            lo, hi_c = row_off_l[c], row_off_l[c + 1]
+            n_rows = hi_c - lo
             if n_rows == 0:
                 per_core.append(None)
                 continue
-            p_lo, p_hi = int(pre_off[c]), int(pre_off[c + 1])
-            lrow = np.concatenate([pre_lrow[p_lo:p_hi], li + rows_c])
-            arr_t = np.concatenate(
-                [np.zeros(n_pre_c, dtype=np.int64), arr_span[rows_c]]
-            )
-            proc = nominal[lrow]
-            sid = sid_win[lrow].astype(np.int64)
-            floc = np.concatenate([inv_pre[p_lo:p_hi], inv_span[rows_c]])
+            hb = 1 if core_busy[c] else 0
             busy_fin = busy_ev[c][0] if hb else 0
             nb = n_rows + 1
             order_buf = [0] * nb
@@ -275,195 +271,71 @@ class SpanDriver:
             queue_buf = [0] * nb
             out = [0] * OUT_SLOTS
             fn(
-                c, n_rows, n_pre_c, hb, busy_fin,
-                arr_t.tolist(), proc.tolist(), sid.tolist(), floc.tolist(),
+                c, n_rows, n_pre[c], hb, busy_fin,
+                arr_l[lo:hi_c], proc_l[lo:hi_c], sid_l[lo:hi_c], floc_l[lo:hi_c],
                 flow_last, migrated,
                 last_service[c], cap, fm_pen, cc_pen, t_h,
                 order_buf, fin_buf, kind_buf, drop_buf, queue_buf, out,
             )
             per_core.append(
-                (rows_c, lrow, order_buf, fin_buf, kind_buf,
-                 drop_buf, queue_buf, out)
+                (order_buf, fin_buf, kind_buf, drop_buf, queue_buf, out)
             )
         self.drain_ns += time.perf_counter_ns() - t_drain0
+        # spent: free them before the commit allocates its own arrays
+        del arr_l, proc_l, sid_l, floc_l, slot
 
         # ==============================================================
         # Phase 2: commit.  From here on nothing can bail.
         # ==============================================================
         t_commit0 = time.perf_counter_ns()
         base_seq = events._seq
+        metrics = st.metrics
 
-        # -- per-core served entries → global started/departed arrays --
-        g_T, g_kind, g_tie, g_prev, g_prevseq = [], [], [], [], []
-        g_fin, g_core, g_lrow = [], [], []
-        d_fin, d_seq_parts, d_lrow = [], [], []
-        dep_entry_started = []  # per departed entry: global started idx or -1
-        ends = []  # per core: (started entries slice, e_* views) for later
-        n_started = 0
-        n_busy_dep = 0
+        # -- per-core counters -----------------------------------------
+        served = [0] * n_cores
+        n_dep_c = [0] * n_cores
+        n_drop_c = [0] * n_cores
+        busy_ns = metrics.busy_ns_per_core
         for c in range(n_cores):
             r = per_core[c]
             if r is None:
-                ends.append(None)
                 continue
-            rows_c, lrow, order_buf, fin_buf, kind_buf = r[0], r[1], r[2], r[3], r[4]
-            out = r[7]
-            served, n_dep = out[0], out[1]
-            e_row = np.asarray(order_buf[:served], dtype=np.int64)
-            e_fin = np.asarray(fin_buf[:served], dtype=np.int64)
-            e_kind = np.asarray(kind_buf[:served], dtype=np.int64)
-            hb = 1 if core_busy[c] else 0
-            n_pre_c = len(pre_pkts[c])
-            # started entries: all served except the pre-span busy head
-            s0 = hb  # first started entry index within e_*
-            ns_c = served - s0
-            if ns_c:
-                sk = e_kind[s0:]
-                arr_mask = sk == 1
-                pop_mask = ~arr_mask
-                # trigger time: arrival instant for idle-core starts,
-                # predecessor completion time for queue pops
-                tT = np.empty(ns_c, dtype=np.int64)
-                srow_started = np.zeros(ns_c, dtype=np.int64)
-                if arr_mask.any():
-                    sr = rows_c[(e_row[s0:][arr_mask] - n_pre_c)]
-                    srow_started[arr_mask] = sr
-                    tT[arr_mask] = arr_span[sr]
-                if pop_mask.any():
-                    jj = np.nonzero(pop_mask)[0] + s0
-                    tT[pop_mask] = e_fin[jj - 1]
-                g_T.append(tT)
-                # sort class: pops (kind 0) before arrival starts
-                # (kind 1) at equal instants — complete_until first
-                g_kind.append(sk)
-                g_tie.append(srow_started)
-                # predecessor started index (global) or -1 when the
-                # trigger is the pre-span busy completion
-                prev = np.arange(s0, served, dtype=np.int64) - 1
-                prev_started = np.where(
-                    prev >= s0, n_started + prev - s0, -1
-                )
-                prev_is_pop = pop_mask
-                g_prev.append(np.where(prev_is_pop, prev_started, -1))
-                g_prevseq.append(
-                    np.full(ns_c, busy_ev[c][1] if hb else -1, dtype=np.int64)
-                )
-                g_fin.append(e_fin[s0:])
-                g_core.append(np.full(ns_c, c, dtype=np.int64))
-                g_lrow.append(lrow[e_row[s0:]])
-            ends.append((r, e_row, e_fin, e_kind, s0, ns_c, n_started))
-            # departures: first n_dep served entries (chain order)
-            if n_dep:
-                d_fin.append(e_fin[:n_dep])
-                d_lrow.append(lrow[e_row[:n_dep]])
-                started_idx = np.arange(n_dep, dtype=np.int64) - s0 + n_started
-                if hb:
-                    started_idx[0] = -1  # busy head keeps its original seq
-                    n_busy_dep += 1
-                dep_entry_started.append(started_idx)
-                d_seq_parts.append(
-                    np.full(n_dep, busy_ev[c][1] if hb else 0, dtype=np.int64)
-                )
-            n_started += ns_c
+            out = r[5]
+            served[c] = out[0]
+            n_dep_c[c] = out[1]
+            nd = n_drop_c[c] = out[9]
+            if nd:
+                queues[c].drops += nd
+            busy_ns[c] += out[8]
+            metrics.flow_migration_events += out[6]
+            metrics.cold_cache_events += out[7]
 
-        if n_started:
-            g_T = np.concatenate(g_T)
-            g_kind = np.concatenate(g_kind)
-            g_tie = np.concatenate(g_tie)
-            g_prev = np.concatenate(g_prev)
-            g_prevseq = np.concatenate(g_prevseq)
-            g_fin = np.concatenate(g_fin)
-            g_core = np.concatenate(g_core)
-            g_lrow = np.concatenate(g_lrow)
-        else:
-            g_T = g_kind = g_tie = g_prev = g_prevseq = np.empty(0, np.int64)
-            g_fin = g_core = g_lrow = np.empty(0, np.int64)
-
-        # -- exact global start ranks ----------------------------------
-        # class 0 = queue-pop starts (complete_until runs before the
-        # arrival dispatch at equal instants), class 1 = arrival starts
-        # ordered by arrival index; g_kind was built as (1 - kind).
-        ord0 = np.lexsort((g_tie, g_kind, g_T))
-        rank = np.empty(n_started, dtype=np.int64)
-        rank[ord0] = np.arange(n_started, dtype=np.int64)
-        if n_started > 1:
-            sT = g_T[ord0]
-            sk0 = g_kind[ord0] == 0
-            linked = np.zeros(n_started, dtype=bool)
-            linked[1:] = (sT[1:] == sT[:-1]) & sk0[1:] & sk0[:-1]
-            if linked.any():
-                # fix up each multi-pop tie group in trigger-seq order;
-                # left to right, so trigger ranks are already final
-                pos = np.nonzero(linked)[0]
-                runs: list[tuple[int, int]] = []
-                start = int(pos[0]) - 1
-                prev_p = int(pos[0])
-                for p in pos[1:].tolist():
-                    if p != prev_p + 1:
-                        runs.append((start, prev_p))
-                        start = p - 1
-                    prev_p = p
-                runs.append((start, prev_p))
-                for lo, hi_r in runs:
-                    members = ord0[lo : hi_r + 1].tolist()
-                    tseqs = [
-                        int(g_prevseq[m])
-                        if g_prev[m] < 0
-                        else base_seq + int(rank[g_prev[m]])
-                        for m in members
-                    ]
-                    fixed = [m for _, m in sorted(zip(tseqs, members))]
-                    for off, m in enumerate(fixed):
-                        rank[m] = lo + off
-                    ord0[lo : hi_r + 1] = fixed
-
-        # -- departures in exact pop order -----------------------------
-        n_dep_total = 0
-        if d_fin:
-            dep_fin = np.concatenate(d_fin)
-            dep_lrow = np.concatenate(d_lrow)
-            dep_started = np.concatenate(dep_entry_started)
-            dep_seq = np.concatenate(d_seq_parts)
-            m = dep_started >= 0
-            dep_seq[m] = base_seq + rank[dep_started[m]]
-            ord_dep = np.lexsort((dep_seq, dep_fin))
-            dep_fin = dep_fin[ord_dep]
-            dep_lrow = dep_lrow[ord_dep]
-            dep_seq = dep_seq[ord_dep]
-            n_dep_total = int(dep_fin.size)
-            dep_flow = win.flow_id[dep_lrow]
-            dep_pseq = win.seq[dep_lrow]
-            dep_arr = win.arrival_ns[dep_lrow]
-        else:
-            dep_fin = dep_lrow = dep_seq = np.empty(0, np.int64)
-            dep_flow = dep_pseq = dep_arr = np.empty(0, np.int64)
+        # -- event seqs and departures in exact pop order --------------
+        busy_seq = [busy_ev[c][1] if core_busy[c] else -1 for c in range(n_cores)]
+        dep_fin, dep_lrow, n_started, last_seq = self._served(
+            per_core, served, n_dep_c, busy_seq, s_lrow, row_off,
+            arrival, li, base_seq,
+        )
+        n_dep_total = int(dep_fin.size)
+        dep_flow = win.flow_id[dep_lrow]
+        dep_pseq = win.seq[dep_lrow]
 
         # -- drops in arrival order ------------------------------------
-        drop_srows = []
-        for c in range(n_cores):
-            r = per_core[c]
-            if r is None:
-                continue
-            nd = r[7][9]
-            if nd:
-                n_pre_c = len(pre_pkts[c])
-                rows_c = r[0]
-                tb = np.asarray(r[5][:nd], dtype=np.int64)
-                drop_srows.append(rows_c[tb - n_pre_c])
-                queues[c].drops += nd
-        if drop_srows:
-            drop_srow = np.sort(np.concatenate(drop_srows))
-            drop_t = arr_span[drop_srow]
-            drop_lrow = li + drop_srow
-            drop_flow = win.flow_id[drop_lrow]
-            drop_pseq = win.seq[drop_lrow]
-        else:
-            drop_srow = drop_t = np.empty(0, np.int64)
-            drop_flow = drop_pseq = np.empty(0, np.int64)
-        n_drop_total = int(drop_srow.size)
+        drop_row = np.fromiter(
+            chain.from_iterable(
+                r[3][:nd] for r, nd in zip(per_core, n_drop_c) if nd
+            ),
+            np.int64,
+            sum(n_drop_c),
+        )
+        drop_slot = row_off[np.repeat(np.arange(n_cores), n_drop_c)] + drop_row
+        drop_lrow = np.sort(s_lrow[drop_slot])
+        drop_t = arrival[drop_lrow]
+        drop_flow = win.flow_id[drop_lrow]
+        drop_pseq = win.seq[drop_lrow]
+        n_drop_total = int(drop_lrow.size)
 
         # -- metrics counters ------------------------------------------
-        metrics = st.metrics
         metrics.generated += hi - li
         gen_counts = np.bincount(
             win.service_id[li:hi], minlength=metrics.num_services
@@ -479,20 +351,13 @@ class SpanDriver:
             dps = metrics.dropped_per_service
             for s_id in np.nonzero(dcnt)[0].tolist():
                 dps[s_id] += int(dcnt[s_id])
-        busy_ns = metrics.busy_ns_per_core
-        for c in range(n_cores):
-            r = per_core[c]
-            if r is None:
-                continue
-            out = r[7]
-            busy_ns[c] += out[8]
-            metrics.flow_migration_events += out[6]
-            metrics.cold_cache_events += out[7]
         if n_dep_total:
             metrics.departed += n_dep_total
             metrics.last_depart_ns = int(dep_fin[-1])
         if cfg.collect_latencies:
-            metrics.latencies_ns.extend((dep_fin - dep_arr).tolist())
+            metrics.latencies_ns.extend(
+                (dep_fin - arrival[dep_lrow]).tolist()
+            )
         if cfg.record_departures:
             st.departures.extend(
                 zip(dep_flow.tolist(), dep_pseq.tolist(), dep_fin.tolist())
@@ -503,8 +368,8 @@ class SpanDriver:
 
         # -- reorder accounting ----------------------------------------
         self._commit_reorder(
-            st.reorder, dep_fin, dep_seq, dep_flow, dep_pseq,
-            drop_t, drop_srow, drop_flow, drop_pseq,
+            st.reorder, dep_fin, dep_flow, dep_pseq,
+            drop_t, drop_flow, drop_pseq,
         )
 
         # -- flow state ------------------------------------------------
@@ -515,43 +380,46 @@ class SpanDriver:
             flow_last_core[f] = c
 
         # -- core / queue / event state --------------------------------
+        # each touched core's queue (then in-flight packet) as slots,
+        # turned into packet ids by one gather
+        slots: list[int] = []
+        for c in range(n_cores):
+            r = per_core[c]
+            if r is not None:
+                out = r[5]
+                ro = row_off_l[c]
+                slots += [ro + x for x in r[4][out[4] : out[5]]]
+                slots.append(ro + max(out[2], 0))
+        pkt_l = (base + s_lrow[slots]).tolist()
         occ = queues.occ  # no queue is down inside a span
         new_entries = []
+        i = 0
         for c in range(n_cores):
-            info = ends[c]
-            if info is None:
+            r = per_core[c]
+            if r is None:
                 # untouched core: its pre-existing event (if any) stays
                 if c in busy_ev:
                     t_ev, s_ev = busy_ev[c]
                     new_entries.append((t_ev, s_ev, (c, core_current[c])))
                 continue
-            r, e_row, e_fin, e_kind, s0, ns_c, started_off = info
-            rows_c, lrow = r[0], r[1]
-            out = r[7]
-            served, cur = out[0], out[2]
-            head, tail = out[4], out[5]
+            out = r[5]
+            cur, cur_fin = out[2], out[3]
+            i_cur = i + out[5] - out[4]
             q = queues[c]
             items = q._items
             items.clear()
-            if tail > head:
-                qrows = np.asarray(r[6][head:tail], dtype=np.int64)
-                items.extend((base + lrow[qrows]).tolist())
+            items.extend(pkt_l[i:i_cur])
+            i = i_cur + 1
             occ[c] = len(items)
             if out[10] > q.peak:
                 q.peak = out[10]
             last_service[c] = out[11]
             if cur >= 0:
-                pkt = int(base + lrow[cur])
+                # the in-flight packet is always the last served entry
+                pkt = pkt_l[i_cur]
                 core_busy[c] = True
                 core_current[c] = pkt
-                # seq of the in-flight packet's completion event: the
-                # last served entry is always the current one
-                j = served - 1
-                if j < s0:  # the pre-span busy packet never completed
-                    ev_seq = busy_ev[c][1]
-                else:
-                    ev_seq = base_seq + int(rank[started_off + (j - s0)])
-                new_entries.append((int(e_fin[j]), ev_seq, (c, pkt)))
+                new_entries.append((cur_fin, last_seq[c], (c, pkt)))
             else:
                 core_busy[c] = False
                 core_current[c] = -1
@@ -574,73 +442,135 @@ class SpanDriver:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _commit_reorder(
-        det, dep_fin, dep_seq, dep_flow, dep_pseq,
-        drop_t, drop_srow, drop_flow, drop_pseq,
-    ) -> None:
-        """Apply the span's departures and drops to the detector.
+    def _served(
+        per_core, served, n_dep_c, busy_seq, s_lrow, row_off,
+        arrival, li, base_seq,
+    ):
+        """Every core's served entries, end to end (core by core, each
+        in service order): the exact event seq of each, and the
+        departures in pop order.
 
-        The merged accounting order is (time, departs-before-drops,
-        event seq / arrival index): ``complete_until(t)`` pops every
-        fin ≤ t before the arrival at t runs its drop.  The detector is
-        per-flow state, so flows are committed independently: bulk for
-        exactly-consecutive flows, method replay otherwise.
+        Returns ``(dep_fin, dep_lrow, n_started, last_seq)``: departure
+        instants and window rows sorted by (fin, event seq), the number
+        of starts, and per core the event seq of its last served entry
+        (the in-flight packet's completion, when one remains).
+        """
+        n_ent = sum(served)
+        e_core = np.repeat(np.arange(len(served)), served)
+        ent_off = np.zeros(len(served) + 1, dtype=np.int64)
+        np.cumsum(served, out=ent_off[1:])
+        e_j = np.arange(n_ent, dtype=np.int64) - ent_off[e_core]
+
+        def column(i: int) -> np.ndarray:
+            return np.fromiter(
+                chain.from_iterable(
+                    r[i][:k] for r, k in zip(per_core, served) if k
+                ),
+                np.int64,
+                n_ent,
+            )
+
+        e_lrow = s_lrow[row_off[e_core] + column(0)]
+        e_fin = column(1)
+        e_kind = column(2)
+        busy_seq = np.asarray(busy_seq, dtype=np.int64)
+
+        # -- started entries: all served except the pre-span busy heads
+        head = (e_j == 0) & (busy_seq[e_core] >= 0)
+        started = ~head
+        g = np.flatnonzero(started)
+        n_started = int(g.size)
+        g_kind = e_kind[g]
+        arr_start = g_kind == 1
+        g_lrow = e_lrow[g]
+        # trigger time: arrival instant for idle-core starts,
+        # predecessor completion time for queue pops (a pop is never
+        # its core's first entry, so g - 1 is its predecessor)
+        pred = g - 1
+        g_T = np.where(arr_start, arrival[g_lrow], e_fin[pred])
+        g_tie = np.where(arr_start, g_lrow - li, 0)
+        # a pop's predecessor as a started index (global), or -1 when
+        # the trigger is the pre-span busy completion (seq g_prevseq)
+        s_idx = np.cumsum(started) - 1
+        g_prev = np.where(~arr_start & started[pred], s_idx[pred], -1)
+        g_prevseq = busy_seq[e_core[g]]
+
+        # -- exact global start ranks ----------------------------------
+        # class 0 = queue-pop starts (complete_until runs before the
+        # arrival dispatch at equal instants), class 1 = arrival starts
+        # ordered by arrival index: g_kind is the class.
+        ord0 = np.lexsort((g_tie, g_kind, g_T))
+        rank = np.empty(n_started, dtype=np.int64)
+        rank[ord0] = np.arange(n_started, dtype=np.int64)
+        if n_started > 1:
+            sT = g_T[ord0]
+            sk0 = g_kind[ord0] == 0
+            linked = np.zeros(n_started, dtype=bool)
+            linked[1:] = (sT[1:] == sT[:-1]) & sk0[1:] & sk0[:-1]
+            if linked.any():
+                # fix up each multi-pop tie group in trigger-seq order;
+                # left to right, so trigger ranks are already final
+                # (``fixed`` holds the ranks earlier groups changed)
+                member = linked.copy()
+                member[:-1] |= linked[1:]
+                at = np.flatnonzero(member)
+                m_idx = ord0[at]
+                trig = g_prev[m_idx]
+                tseq = np.where(
+                    trig < 0, g_prevseq[m_idx], base_seq + rank[trig]
+                ).tolist()
+                trig_l = trig.tolist()
+                m_l = m_idx.tolist()
+                at_l = at.tolist()
+                heads = np.flatnonzero(~linked[at]).tolist()
+                fixed: dict[int, int] = {}
+                for a, b in zip(heads, heads[1:] + [len(at_l)]):
+                    keyed = sorted(
+                        (
+                            base_seq + fixed[trig_l[x]]
+                            if trig_l[x] in fixed
+                            else tseq[x],
+                            m_l[x],
+                        )
+                        for x in range(a, b)
+                    )
+                    lo = at_l[a]
+                    for off, (_, m) in enumerate(keyed):
+                        fixed[m] = lo + off
+                rank[list(fixed)] = list(fixed.values())
+        # each served entry's completion event seq: a busy head keeps
+        # its pending event's, a start takes the seq of its start rank
+        e_seq = busy_seq[e_core]
+        e_seq[g] = base_seq + rank
+        last_seq = e_seq[ent_off[1:] - 1].tolist() if n_ent else []
+
+        # -- departures: each core's first n_dep entries, in pop order -
+        dm = e_j < np.asarray(n_dep_c, dtype=np.int64)[e_core]
+        dep_fin = e_fin[dm]
+        ord_dep = np.lexsort((e_seq[dm], dep_fin))
+        return dep_fin[ord_dep], e_lrow[dm][ord_dep], n_started, last_seq
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _commit_reorder(
+        det, dep_fin, dep_flow, dep_pseq, drop_t, drop_flow, drop_pseq,
+    ) -> None:
+        """Apply the span's departures and drops to the detector in one
+        :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call.
+
+        The accounting order is the scalar loop's: ``complete_until(t)``
+        pops every fin ≤ t before the arrival at t runs its drop.  Both
+        streams come sorted (departures by (fin, event seq), drops by
+        arrival index), so one stable sort on time merges them: it
+        keeps each stream's order and puts departures first at equal
+        instants.
         """
         n_dep = int(dep_fin.size)
-        n_drop = int(drop_t.size)
-        if n_dep + n_drop == 0:
+        if n_dep + int(drop_t.size) == 0:
             return
-        m_t = np.concatenate([dep_fin, drop_t])
-        m_ph = np.concatenate(
-            [np.zeros(n_dep, np.int64), np.ones(n_drop, np.int64)]
+        order = np.argsort(np.concatenate([dep_fin, drop_t]), kind="stable")
+        det.account_batch(
+            np.concatenate([dep_flow, drop_flow])[order],
+            np.concatenate([dep_pseq, drop_pseq])[order],
+            order >= n_dep,
         )
-        m_key = np.concatenate([dep_seq, drop_srow])
-        m_flow = np.concatenate([dep_flow, drop_flow]).astype(np.int64)
-        m_pseq = np.concatenate([dep_pseq, drop_pseq]).astype(np.int64)
-        ord_m = np.lexsort((m_key, m_ph, m_t))
-        fl = m_flow[ord_m]
-        ph = m_ph[ord_m]
-        ps = m_pseq[ord_m]
-        ord_f = np.argsort(fl, kind="stable")  # per-flow, merged order kept
-        fl = fl[ord_f]
-        ph = ph[ord_f]
-        ps = ps[ord_f]
-        n = fl.size
-        grp_start = np.empty(n, dtype=bool)
-        grp_start[0] = True
-        grp_start[1:] = fl[1:] != fl[:-1]
-        starts = np.nonzero(grp_start)[0]
-        ends = np.append(starts[1:], n)
-        # a flow is bulk-committable iff its accounted seqs are strictly
-        # consecutive within the span ...
-        bad = np.zeros(n, dtype=bool)
-        bad[1:] = (~grp_start[1:]) & (ps[1:] != ps[:-1] + 1)
-        grp_bad = np.add.reduceat(bad, starts) > 0
-        dep_counts = np.add.reduceat(ph == 0, starts)
-        expected_map = det._next_expected
-        pending = det._pending
-        fl_list = fl.tolist()
-        ps_list = ps.tolist()
-        ph_list = ph.tolist()
-        on_depart = det.on_depart
-        on_drop = det.on_drop
-        for gi in range(starts.size):
-            lo = int(starts[gi])
-            hi = int(ends[gi])
-            f = fl_list[lo]
-            # ... and start at the expectation with nothing pending
-            if (
-                not grp_bad[gi]
-                and f not in pending
-                and expected_map.get(f, 0) == ps_list[lo]
-            ):
-                cnt = hi - lo
-                expected_map[f] = ps_list[lo] + cnt
-                det.accounted += cnt
-                det.departed += int(dep_counts[gi])
-            else:
-                for i in range(lo, hi):
-                    if ph_list[i] == 0:
-                        on_depart(f, ps_list[i])
-                    else:
-                        on_drop(f, ps_list[i])

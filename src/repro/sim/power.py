@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
 from repro.sim.metrics import SimReport
 
 __all__ = ["PowerModel", "PowerReport"]
@@ -51,7 +52,7 @@ class PowerModel:
 
     def __post_init__(self) -> None:
         if not self.sleep_w <= self.idle_w <= self.active_w:
-            raise ValueError(
+            raise ConfigError(
                 "expected sleep_w <= idle_w <= active_w, got "
                 f"{self.sleep_w}/{self.idle_w}/{self.active_w}"
             )
@@ -68,7 +69,7 @@ class PowerModel:
         makes most of a quiet core's idle time gateable).
         """
         if not 0.0 <= gating_fraction <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"gating_fraction must be in [0, 1], got {gating_fraction}"
             )
         duration_s = report.duration_ns / 1e9

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 __all__ = ["RestorationBuffer", "RestorationResult", "restoration_cost"]
 
 
@@ -53,7 +55,7 @@ class RestorationBuffer:
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+            raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._next: dict[int, int] = {}       # flow -> next seq to release
         self._held: dict[tuple[int, int], int] = {}  # (flow, seq) -> arrival idx

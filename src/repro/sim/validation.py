@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = ["md1k_loss_probability", "md1k_metrics"]
 
 
@@ -58,9 +60,9 @@ def md1k_loss_probability(rho: float, k_system: int) -> float:
     ``throughput = lambda (1 - P_loss) = mu (1 - P_idle_server)``.
     """
     if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+        raise ConfigError(f"rho must be positive, got {rho}")
     if k_system < 1:
-        raise ValueError(f"k_system must be >= 1, got {k_system}")
+        raise ConfigError(f"k_system must be >= 1, got {k_system}")
     if k_system == 1:
         # pure loss system with deterministic service: Erlang-B-like
         # special case M/D/1/1 -> P_loss = rho/(1+rho) holds for M/G/1/1

@@ -153,20 +153,25 @@ class TestMigration:
         if dest in sched.cores_of(1):
             pytest.fail("migrated into a foreign service's core")
 
-    def test_pin_aware_placement_spreads_elephants(self):
-        sched, loads = make_laps(8, 1, high_threshold=4)
-        # make flows 1..3 aggressive
+    @staticmethod
+    def _place_elephants(**cfg_kw) -> list[int]:
+        """Make flows 1..3 aggressive, overload each one's hash home
+        (cores 1..3), then return where each is migrated."""
+        sched, loads = make_laps(8, 1, high_threshold=4, **cfg_kw)
         for f in (1, 2, 3):
             pump(sched, f, 0, 5)
-        # overload every hash home; cores 6 and 7 idle
         for f in (1, 2, 3):
             loads.occ[sched.map_tables[0].lookup(f)] = 4
-        dests = set()
-        for f in (1, 2, 3):
-            if loads.occ[sched.map_tables[0].lookup(f)] >= 4:
-                dests.add(sched.select_core(f, 0, f, 100))
-        # pin-aware placement must not dump all elephants on one core
-        assert len(dests) >= min(2, len(dests) or 1)
+        return [sched.select_core(f, 0, f, 100) for f in (1, 2, 3)]
+
+    def test_pin_aware_placement_spreads_elephants(self):
+        # each pin weighs on its core, so no two elephants share one
+        assert len(set(self._place_elephants())) == 3
+
+    def test_placement_without_pin_weight_stacks_elephants(self):
+        # the control: with pins weightless, every elephant lands on
+        # the first least-loaded core, core 0
+        assert self._place_elephants(pin_weight=0) == [0, 0, 0]
 
 
 class TestCoreRequest:

@@ -84,11 +84,6 @@ class TestRemoveCore:
 
 
 class TestDiagnostics:
-    def test_bucket_of_matches_lookup(self):
-        table = ServiceMapTable(0, [4, 5, 6])
-        for k in range(100):
-            assert table.cores[table.bucket_of(k)] == table.lookup(k)
-
     def test_remap_fraction_on_grow(self):
         table = ServiceMapTable(0, [1, 2, 3, 4])
         frac = table.remapped_fraction_on_grow(list(range(2000)))

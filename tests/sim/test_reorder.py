@@ -1,5 +1,7 @@
 """Tests for the reorder detector, incl. a brute-force property check."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +190,113 @@ class TestBruteForceEquivalence:
             else:
                 det.on_drop(flow, seq)
         assert det.in_flight_gaps == 0
+
+
+def _feed(det, events):
+    """Per-event form: one ``on_drop``/``on_depart`` call per event."""
+    for flow, seq, dropped in events:
+        if dropped:
+            det.on_drop(flow, seq)
+        else:
+            det.on_depart(flow, seq)
+
+
+def _feed_batch(det, events):
+    det.account_batch(
+        [e[0] for e in events], [e[1] for e in events], [e[2] for e in events]
+    )
+
+
+def _state(det):
+    return (
+        det._next_expected,
+        det._pending,
+        det.out_of_order,
+        det.departed,
+        det.accounted,
+        det.in_flight_gaps,
+    )
+
+
+@st.composite
+def fed_streams(draw):
+    """1-4 flows, each a permutation of its seqs, interleaved and cut
+    into feeds of 0-12 events, each fed per event or as one batch."""
+    events = []
+    for flow in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 10))
+        order = draw(st.permutations(list(range(n))))
+        dropped = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        events.extend((flow, s, d) for s, d in zip(order, dropped))
+    events = draw(st.permutations(events))
+    plan = draw(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=12)
+    )
+    feeds = []
+    i = 0
+    for batched, size in plan:
+        feeds.append((batched, events[i : i + size]))
+        i += size
+    while i < len(events):
+        feeds.append((True, events[i : i + 12]))
+        i += 12
+    return feeds
+
+
+class TestBatchTwin:
+    """``account_batch`` against the per-event methods it replaces."""
+
+    @given(fed_streams())
+    @settings(max_examples=500, deadline=None)
+    def test_batch_equals_per_event(self, feeds):
+        ref, det = ReorderDetector(), ReorderDetector()
+        for batched, events in feeds:
+            _feed(ref, events)
+            if batched:
+                _feed_batch(det, events)
+            else:
+                _feed(det, events)
+            assert _state(det) == _state(ref)
+
+    def test_fold_carries_pending_across_batches(self):
+        det = ReorderDetector()
+        det.account_batch([0, 0], [2, 3], [False, True])
+        assert det._pending == {0: {2, 3}} and det.out_of_order == 1
+        det.account_batch([0, 0], [1, 0], [False, False])
+        assert det._next_expected == {0: 4} and det._pending == {}
+        assert det.out_of_order == 2  # seq 1 left ahead of seq 0
+
+    def test_wide_keys_equal_per_event(self):
+        # flow ids too far apart to pack with the seqs into one int64
+        events = [(1 << 61, 1, False), (0, 0, True), (1 << 61, 0, False),
+                  (0, 1, False)]
+        ref, det = ReorderDetector(), ReorderDetector()
+        _feed(ref, events)
+        _feed_batch(det, events)
+        assert _state(det) == _state(ref)
+        assert det.out_of_order == 1
+
+    @pytest.mark.parametrize("dropped", [False, True])
+    @pytest.mark.parametrize(
+        "before, bad",
+        [
+            ([(0, 0, False), (0, 1, True)], [(1, 0, False), (0, 1, None)]),
+            ([(0, 4, False)], [(1, 0, False), (0, 4, None)]),
+            ([], [(0, 2, None), (1, 0, False), (0, 2, None)]),
+        ],
+        ids=["below-expected", "already-pending", "repeated-in-batch"],
+    )
+    def test_bad_seq_raises_in_both_forms(self, before, bad, dropped):
+        bad = [(f, s, dropped if d is None else d) for f, s, d in bad]
+        ref, det = ReorderDetector(), ReorderDetector()
+        _feed(ref, before)
+        _feed(det, before)
+        with pytest.raises(ValueError):
+            _feed(ref, bad)
+        saved = copy.deepcopy(_state(det))
+        with pytest.raises(ValueError):
+            _feed_batch(det, bad)
+        assert _state(det) == saved  # nothing written
 
 
 class TestFullRunDrains:

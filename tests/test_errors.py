@@ -8,6 +8,11 @@ from repro.core.incremental_hash import IncrementalHash
 from repro.core.laps import LAPSConfig
 from repro.core.lfu import LFUCache
 from repro.core.migration import MigrationTable
+from repro.core.timing import LAPSTimingModel, SRAMModel
+from repro.sim.power import PowerModel
+from repro.sim.restoration import RestorationBuffer
+from repro.sim.validation import md1k_loss_probability
+from tests.sim.test_power import report
 
 
 class TestHierarchy:
@@ -55,5 +60,27 @@ class TestHierarchy:
 def test_detector_sizes_raise_config_error(build):
     """Bad detector and table sizes fail as a ``ConfigError``, like
     every other bad configuration value."""
+    with pytest.raises(errors.ConfigError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SRAMModel().access_ns(0, 8),
+        lambda: LAPSTimingModel(hash_ns=0.0),
+        lambda: LAPSTimingModel(map_table_entries=0),
+        lambda: PowerModel(sleep_w=1.0),
+        lambda: PowerModel().evaluate(report([0.5]), gating_fraction=1.5),
+        lambda: RestorationBuffer(0),
+        lambda: md1k_loss_probability(0.0, 4),
+        lambda: md1k_loss_probability(0.5, 0),
+    ],
+    ids=["sram-size", "timing-delay", "timing-entries", "power-states",
+         "power-gating", "restoration", "md1k-rho", "md1k-k"],
+)
+def test_model_parameters_raise_config_error(build):
+    """Bad timing, power, restoration and queueing-model parameters
+    fail as a ``ConfigError`` too."""
     with pytest.raises(errors.ConfigError):
         build()
