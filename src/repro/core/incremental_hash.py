@@ -64,7 +64,7 @@ class IncrementalHash:
     def bucket_of(self, hashed_key: int) -> int:
         """Map a hash value to a bucket index in ``[0, b)``."""
         if hashed_key < 0:
-            raise ValueError(f"hash values must be >= 0, got {hashed_key}")
+            raise ConfigError(f"hash values must be >= 0, got {hashed_key}")
         h1 = hashed_key % self._m
         if h1 < self._buckets - self._m:
             return hashed_key % (2 * self._m)
@@ -109,7 +109,7 @@ class IncrementalHash:
     def resize_to(self, buckets: int) -> None:
         """Grow/shrink one step at a time until ``b == buckets``."""
         if buckets <= 0:
-            raise ValueError(f"bucket count must be positive, got {buckets}")
+            raise ConfigError(f"bucket count must be positive, got {buckets}")
         while self._buckets < buckets:
             self.grow()
         while self._buckets > buckets:

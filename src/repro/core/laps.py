@@ -214,7 +214,7 @@ class LAPSScheduler(Scheduler):
         # 2. default hash lookup: the linear hash's bucket (Sec. III-C)
         # indexes the service's bucket list
         if flow_hash < 0:
-            raise ValueError(f"hash values must be >= 0, got {flow_hash}")
+            raise ConfigError(f"hash values must be >= 0, got {flow_hash}")
         lin = table._hash
         m = lin._m
         bucket = flow_hash % m

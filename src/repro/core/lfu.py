@@ -140,7 +140,7 @@ class LFUCache:
         victim (or None).  Re-inserting a resident key just overwrites
         its counter."""
         if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+            raise ConfigError(f"count must be >= 0, got {count}")
         counts = self._counts
         old = counts.get(key)
         if old is not None:

@@ -78,7 +78,6 @@ def simulate_core(
     cc = 0
     busy_add = 0
     n_drops = 0
-    max_occ = 0
     r = n_pre
     while r < n_rows:
         t = arr_t[r]
@@ -118,8 +117,6 @@ def simulate_core(
             else:
                 queue_buf[tail] = r
                 tail += 1
-                if occ + 1 > max_occ:
-                    max_occ = occ + 1
         else:
             p = proc[r]
             f = floc[r]
@@ -187,12 +184,11 @@ def simulate_core(
     out[7] = cc
     out[8] = busy_add
     out[9] = n_drops
-    out[10] = max_occ
-    out[11] = last_sid
+    out[10] = last_sid
 
 
 #: scalar-output slot count for the ``out`` buffer above
-OUT_SLOTS = 12
+OUT_SLOTS = 11
 
 
 class NumpyBackend:

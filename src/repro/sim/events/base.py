@@ -62,17 +62,11 @@ class EventQueue:
 
     @property
     def heap(self) -> list[tuple[int, int, Any]]:
-        """The raw heap list, for compiled consumers that inline
-        ``heapq.heappop`` and batch the bookkeeping through
-        :meth:`flush_pops`.  Treat as read-and-heappop-only."""
+        """The raw heap list, for compiled consumers that inline the
+        ``heapq`` calls.  Such a consumer keeps :attr:`popped`,
+        ``_last_pop_ns`` and the ``_seq`` tie-break counter exact
+        itself, before anything that reads them or pushes events."""
         return self._heap
-
-    def flush_pops(self, count: int, last_pop_ns: int) -> None:
-        """Record *count* events popped directly off :attr:`heap`, the
-        last at *last_pop_ns*.  Callers must flush before anything that
-        reads :attr:`popped` / :attr:`now_ns` or pushes new events."""
-        self.popped += count
-        self._last_pop_ns = last_pop_ns
 
     @property
     def now_ns(self) -> int:

@@ -303,9 +303,7 @@ class SpanDriver:
             out = r[5]
             served[c] = out[0]
             n_dep_c[c] = out[1]
-            nd = n_drop_c[c] = out[9]
-            if nd:
-                queues[c].drops += nd
+            n_drop_c[c] = out[9]
             busy_ns[c] += out[8]
             metrics.flow_migration_events += out[6]
             metrics.cold_cache_events += out[7]
@@ -405,15 +403,12 @@ class SpanDriver:
             out = r[5]
             cur, cur_fin = out[2], out[3]
             i_cur = i + out[5] - out[4]
-            q = queues[c]
-            items = q._items
+            items = queues[c]._items
             items.clear()
             items.extend(pkt_l[i:i_cur])
             i = i_cur + 1
             occ[c] = len(items)
-            if out[10] > q.peak:
-                q.peak = out[10]
-            last_service[c] = out[11]
+            last_service[c] = out[10]
             if cur >= 0:
                 # the in-flight packet is always the last served entry
                 pkt = pkt_l[i_cur]

@@ -27,13 +27,21 @@ bounds resident workload memory for streamed runs.
 
 Two properties are preserved from the original monolithic loop:
 
-* **hot-loop cost** — at activation the kernel compiles ``start_packet``
-  and ``complete_until`` as closures over the state containers (lists,
-  dicts, arrays mutated in place), so the per-packet path performs no
-  ``self.`` attribute lookups and allocates no per-packet objects; the
-  closures re-compile only when the window slides (once per chunk).
-  On top of that sits the **epoch-cached vectorized scheduling** fast
-  path: for schedulers implementing
+* **hot-loop cost** — at activation the kernel compiles ``begin`` (the
+  one start rule: it charges a packet's service time and returns the
+  completion instant its caller schedules) and ``complete_until`` as
+  closures over the state containers (lists, dicts, arrays mutated in
+  place), so the per-packet path performs no ``self.`` attribute
+  lookups; the closures re-compile only when the window slides (once
+  per chunk).  The loop records what happens and settles the books
+  only where someone looks: a departure or drop is one row of an
+  egress log on the kernel, and :meth:`SimKernel._settle` applies the
+  log in vectors at the settle points it lists (every segment reload,
+  any read of ``kernel.metrics`` or ``kernel.reorder``, ...).  Between
+  advances, and whenever an observer runs, the state equals per-event
+  bookkeeping field for field.  On top of that sits the
+  **epoch-cached vectorized scheduling** fast path: for schedulers
+  implementing
   :meth:`~repro.schedulers.base.Scheduler.assign_batch` the kernel
   plans a ``core_of`` column for the window suffix in one vector call
   and the arrival loop consumes it instead of calling ``select_core``
@@ -69,7 +77,7 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -103,10 +111,11 @@ CHECKPOINT_VERSION = 6
 
 #: local-index stride the arrival loop converts to plain Python lists
 #: at a time — bounds resident unboxed columns to O(segment) for any
-#: window size.  Kept small: every committed span invalidates the
-#: unboxed segment and the scalar stretches between spans are short (a
-#: retry stride), so a large segment would cost more to unbox than the
-#: scalar packets it feeds
+#: window size, and the egress log to a segment's departures and drops
+#: (each reload settles the books).  Kept small: every committed span
+#: invalidates the unboxed segment and the scalar stretches between
+#: spans are short (a retry stride), so a large segment would cost more
+#: to unbox than the scalar packets it feeds
 _SEGMENT = 4_096
 
 #: ceiling for the exponential span-retry backoff: a run whose spans
@@ -125,8 +134,10 @@ _PLAN_SPAN = 65_536
 class SimState:
     """All live state of one simulation run, explicitly owned.
 
-    Everything the run loop mutates lives here — nothing hides in
-    closure locals or instance attributes of the kernel.  The whole
+    Everything the run loop mutates lives here — between advances
+    nothing hides in closure locals or instance attributes of the
+    kernel (inside one, departures and drops wait in the kernel's
+    egress log until :meth:`SimKernel._settle`).  The whole
     object (together with the scheduler and injector sharing its
     references) pickles into a :class:`Checkpoint`.  Packet indices
     (``next_arrival``, ``core_current_pkt``, queue contents, heap
@@ -244,7 +255,7 @@ class Checkpoint:
 
 
 # ----------------------------------------------------------------------
-def _no_timed_handler(kernel, event, t_ns):  # pragma: no cover - defensive
+def _no_timed_handler(event, t_ns):  # pragma: no cover - defensive
     raise SimulationError(
         f"timed event {event!r} at {t_ns} ns but no injector is attached"
     )
@@ -304,9 +315,15 @@ class SimKernel:
         self.injector = None
         self.probe = None
         self._finished = False
-        self._start_packet = None
+        self._begin = None
         self._complete_until = None
         self._wl_fp: str | None = None
+        #: egress log: a departure is the row ``(pkt, depart_ns)``, a
+        #: drop ``(~pkt, target core)``, flattened in accounting order;
+        #: :meth:`_settle` applies and empties it.  Rows index the live
+        #: window, so it is settled before every slide, and it is empty
+        #: between advances (never checkpointed)
+        self._log: list[int] = []
         #: the vectorized fast path (planned columns + the span drain)
         #: is on iff requested and the scheduler actually overrides
         #: assign_batch (results are bit-identical either way — the
@@ -349,10 +366,14 @@ class SimKernel:
 
     @property
     def metrics(self) -> SimMetrics:
+        """The run's metrics, settled up to the current instant."""
+        self._settle()
         return self.state.metrics
 
     @property
     def reorder(self) -> ReorderDetector:
+        """The reorder detector, settled up to the current instant."""
+        self._settle()
         return self.state.reorder
 
     @property
@@ -405,7 +426,7 @@ class SimKernel:
         injector.bind(self, schedule_events=not resumed)
         self.injector = injector
         # recompile: a loop compiled before the attach has no handler
-        self._start_packet = None
+        self._begin = None
         self._complete_until = None
 
     # -- the sliding arrival window ------------------------------------
@@ -432,6 +453,8 @@ class SimKernel:
         """
         if self._exhausted:
             return False
+        # log rows index the current window
+        self._settle()
         chunk = self.source.next_chunk()
         if chunk is None:
             self._exhausted = True
@@ -451,7 +474,7 @@ class SimKernel:
             self.window = concat_chunks([win, chunk])
         else:
             self.window = concat_chunks(list(chunks))
-        self._start_packet = None
+        self._begin = None
         self._complete_until = None
         self._nominal = None
         self._col = None
@@ -505,8 +528,8 @@ class SimKernel:
 
     # -- activation: compile the hot loop ------------------------------
     def _activate(self) -> None:
-        """Compile ``start_packet`` / ``complete_until`` over the state
-        and the current window.
+        """Compile ``begin`` / ``complete_until`` over the state and the
+        current window.
 
         Closures capture the state *containers* (mutated in place), so
         the per-packet path touches only locals — the original loop's
@@ -533,15 +556,7 @@ class SimKernel:
         queues = st.queues
         events = st.events
         metrics = st.metrics
-        reorder = st.reorder
         base = win.base
-        # bound-method element accessors: ``arr.item(i)`` unboxes a
-        # numpy scalar to a Python int noticeably cheaper than
-        # ``int(arr[i])`` on the random-access paths below
-        arr_item = win.arrival_ns.item
-        svc_item = win.service_id.item
-        flow_item = win.flow_id.item
-        seq_item = win.seq.item
         # nominal per-packet service time (eq. 3 without penalties),
         # vectorized once per window: base_ns[sid] + round(p64*size/64).
         # p64*size is exact in int64 and /64.0 is an exact float scale,
@@ -558,18 +573,20 @@ class SimKernel:
         else:
             nominal = np.empty(0, dtype=np.int64)
         self._nominal = nominal  # consumed by the span drain
-        proc_item = nominal.item
-        collect_lat = cfg.collect_latencies
-        latencies = metrics.latencies_ns
-        record_dep = cfg.record_departures
-        departures = st.departures
+        # zero-copy element reads: indexing a memoryview of a window
+        # column yields a Python int at well under ndarray.item's cost
+        svc_at = memoryview(win.service_id)
+        flow_at = memoryview(win.flow_id)
+        proc_at = memoryview(nominal)
+        busy_ns = metrics.busy_ns_per_core
+        # a departure or drop is one egress-log row, settled in batches
+        # (see _settle)
+        log_append = self._log.append
         # timed events need the kernel: capturing it is a reference
         # cycle while the run is live, which finalize() breaks
-        injector = self.injector
-        kernel = self if injector is not None else None
-        apply_timed = injector.apply if injector is not None else _no_timed_handler
-        on_depart = reorder.on_depart
-        busy_ns = metrics.busy_ns_per_core
+        apply_timed = (
+            self._apply_timed if self.injector is not None else _no_timed_handler
+        )
         # per-core FIFO deques and the bank's occ list, hoisted past
         # QueueBank.__getitem__ and BoundedQueue.take: the loop tests
         # and pops a deque itself (both are mutated in place for a
@@ -577,16 +594,18 @@ class SimKernel:
         q_items = [q._items for q in queues]
         occ = queues.occ
 
-        # the closures inline heappush/heappop on the raw heap list
-        # with the queue's bookkeeping batched in locals
+        # the completion loop works on the raw heap list with the
+        # queue's bookkeeping batched in locals
         heap = events.heap
 
-        def start_packet(core: int, pkt: int, t_ns: int) -> None:
-            """Begin service of packet *pkt* (global index) on *core*."""
+        def begin(core: int, pkt: int, t_ns: int) -> int:
+            """Begin service of packet *pkt* (global index) on *core* at
+            *t_ns*; returns the completion instant, which the caller
+            schedules."""
             li = pkt - base
-            sid = svc_item(li)
-            fid = flow_item(li)
-            t_proc = proc_item(li)
+            sid = svc_at[li]
+            fid = flow_at[li]
+            t_proc = proc_at[li]
             last = flow_last_core[fid]
             if last >= 0 and last != core:
                 t_proc += fm_pen
@@ -604,66 +623,62 @@ class SimKernel:
             core_busy[core] = True
             core_current_pkt[core] = pkt
             busy_ns[core] += t_proc
-            # inlined events.push: completions are scheduled at
-            # t_ns + t_proc >= t_ns >= the last pop, so the causality
-            # check is vacuous here (the validated push remains on the
-            # injector path)
-            s = events._seq
-            heappush(heap, (t_ns + t_proc, s, (core, pkt)))
-            events._seq = s + 1
+            return t_ns + t_proc
 
         def complete_until(horizon_ns: int) -> None:
             """Drain heap events with time <= horizon in time order.
 
-            Pops are inlined (heappop on the raw heap) with the queue's
-            popped/now bookkeeping — and the departed/last-depart
-            metrics — batched in locals; both batches are flushed
-            before any timed-event dispatch, so an injector that pushes
-            events or reads counters sees exact state, and at exit,
-            before probes sample.
+            A departure is one egress-log row.  A completion whose core
+            holds queued work starts the next packet by replacing its
+            own heap entry (one ``heapreplace``; completions land at or
+            after the pop, so no causality check is needed).  The
+            queue's popped/now/seq bookkeeping is batched in locals and
+            written back before any timed-event dispatch — after
+            settling the books, so an injector that pushes events or
+            accounts drops sees exact state — and at exit.
             """
+            s = events._seq
             n_popped = 0
-            n_departed = 0
             t_done = -1
-            t_dep = -1
-            while heap and heap[0][0] <= horizon_ns:
-                t_done, _, payload = heappop(heap)
+            while heap:
+                t, _, payload = heap[0]
+                if t > horizon_ns:
+                    break
+                # only a popped event moves the queue's causality floor
+                t_done = t
                 n_popped += 1
                 core, pkt = payload
                 if core < 0:  # timed platform event, not a completion
-                    events.flush_pops(n_popped, t_done)
+                    heappop(heap)
+                    events.popped += n_popped
+                    events._last_pop_ns = t_done
+                    events._seq = s
                     n_popped = 0
-                    if n_departed:
-                        metrics.departed += n_departed
-                        metrics.last_depart_ns = t_dep
-                        n_departed = 0
-                    apply_timed(kernel, pkt, t_done)
+                    apply_timed(pkt, t_done)
+                    s = events._seq
                     continue
                 if killed_pkts and pkt in killed_pkts:
+                    heappop(heap)
                     killed_pkts.discard(pkt)  # died with its core
                     continue
-                li = pkt - base
-                n_departed += 1
-                t_dep = t_done  # pops are time-ordered
-                on_depart(flow_item(li), seq_item(li))
-                if collect_lat:
-                    latencies.append(t_done - arr_item(li))
-                if record_dep:
-                    departures.append((flow_item(li), seq_item(li), t_done))
+                log_append(pkt)
+                log_append(t_done)
                 qi = q_items[core]
                 if qi:  # a core holding queued work is up
                     occ[core] -= 1
-                    start_packet(core, qi.popleft(), t_done)
+                    nxt = qi.popleft()
+                    heapreplace(heap, (begin(core, nxt, t_done), s, (core, nxt)))
+                    s += 1
                 else:
+                    heappop(heap)
                     core_busy[core] = False
                     core_current_pkt[core] = -1
             if n_popped:
-                events.flush_pops(n_popped, t_done)
-            if n_departed:
-                metrics.departed += n_departed
-                metrics.last_depart_ns = t_dep
+                events.popped += n_popped
+                events._last_pop_ns = t_done
+                events._seq = s
 
-        self._start_packet = start_packet
+        self._begin = begin
         self._complete_until = complete_until
 
     @property
@@ -686,9 +701,88 @@ class SimKernel:
 
     def start_packet(self, core: int, pkt: int, t_ns: int) -> None:
         """Begin service of *pkt* on *core* (injector reassignment path)."""
-        if self._start_packet is None:
+        if self._begin is None:
             self._activate()
-        self._start_packet(core, pkt, t_ns)
+        self.state.events.push(self._begin(core, pkt, t_ns), (core, pkt))
+
+    def _apply_timed(self, event, t_ns: int) -> None:
+        """Hand a timed heap event to the injector, books settled first:
+        its fault drops account straight into the detector and metrics."""
+        self._settle()
+        self.injector.apply(self, event, t_ns)
+
+    # -- settling the books ----------------------------------------------
+    def _settle(self) -> None:
+        """Bring the metrics, the reorder detector and the records up to
+        the current instant.
+
+        The scalar loop only records its departures and drops, one
+        egress-log row each.  Settling applies the log in accounting
+        order: one
+        :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call
+        (the span commit's settle), latencies as one vector
+        subtraction, the departure and drop counters, and the
+        departure/drop records when they are recorded.  The result
+        equals per-event bookkeeping field for field.
+
+        It runs at every segment reload of the arrival loop, before a
+        span attempt, before a timed event reaches the injector, before
+        a window slide, at the end of :meth:`run_until` and of the
+        drain, in :meth:`checkpoint` and :meth:`finalize`, and whenever
+        :attr:`metrics` or :attr:`reorder` is read (which is how probe
+        samplers see a run).
+        """
+        log = self._log
+        if not log:
+            return
+        st = self.state
+        win = self.window
+        base = win.base
+        m = st.metrics
+        rows = np.fromiter(log, np.int64, len(log)).reshape(-1, 2)
+        log.clear()
+        key = rows[:, 0]
+        val = rows[:, 1]
+        drop = key < 0
+        li = np.where(drop, ~key, key) - base
+        flow = win.flow_id[li]
+        seq = win.seq[li]
+        st.reorder.account_batch(flow, seq, drop)
+        record = self.config.record_departures
+        n_drop = int(np.count_nonzero(drop))
+        if n_drop < li.size:
+            if n_drop:
+                dep = ~drop
+                t_dep, dep_li, dep_flow, dep_seq = val[dep], li[dep], flow[dep], seq[dep]
+            else:
+                t_dep, dep_li, dep_flow, dep_seq = val, li, flow, seq
+            m.departed += int(t_dep.size)
+            m.last_depart_ns = int(t_dep[-1])
+            if self.config.collect_latencies:
+                m.latencies_ns.extend((t_dep - win.arrival_ns[dep_li]).tolist())
+            if record:
+                st.departures.extend(
+                    zip(dep_flow.tolist(), dep_seq.tolist(), t_dep.tolist())
+                )
+        if n_drop:
+            drop_li = li[drop]
+            m.dropped += n_drop
+            dps = m.dropped_per_service
+            counts = np.bincount(win.service_id[drop_li], minlength=len(dps))
+            for sid, n in enumerate(counts.tolist()):
+                if n:
+                    dps[sid] += n
+            down = st.queues.cores_down()
+            if down:  # offered to a dead core's queue: a fault drop
+                m.fault_dropped += int(np.count_nonzero(np.isin(val[drop], down)))
+            if record:
+                st.drop_records.extend(
+                    zip(
+                        flow[drop].tolist(),
+                        seq[drop].tolist(),
+                        win.arrival_ns[drop_li].tolist(),
+                    )
+                )
 
     # -- advancing the run ---------------------------------------------
     def run_until(self, t_ns: int) -> None:
@@ -713,37 +807,33 @@ class SimKernel:
         sched = self.scheduler
         n_cores = cfg.num_cores
         cap = cfg.queue_capacity
-        record_dep = cfg.record_departures
-        metrics = st.metrics
-        queues = st.queues
-        reorder = st.reorder
         core_busy = st.core_busy
-        drop_records = st.drop_records
-        gen_per_service = metrics.generated_per_service
-        drop_per_service = metrics.dropped_per_service
-        qs = [queues[c] for c in range(n_cores)]
+        queues = st.queues
         # the enqueue below is BoundedQueue.offer inlined: occ[core] is
         # the queue length while up and cap while down, so one test
         # covers full and down (see repro.sim.queues)
-        q_items = [q._items for q in qs]
+        q_items = [q._items for q in queues]
         occ = queues.occ
-        ev_heap = st.events.heap  # mutated in place; identity is stable
+        metrics = st.metrics
+        gen_per_service = metrics.generated_per_service
+        events = st.events
+        ev_heap = events.heap  # mutated in place; identity is stable
+        log_append = self._log.append
         batch_on = self._batch_on
         # every plan rides the span drain
         span = self._span if batch_on else None
         sel = sched.select_core
         commit = sched.batch_commit
         while True:
-            if self._start_packet is None:
+            if self._begin is None:
                 self._activate()
             complete_until = self._complete_until
-            start_packet = self._start_packet
+            begin = self._begin
             probe = self.probe
             sample = probe.maybe_sample if probe is not None else None
             win = self.window
             base = win.base
             arrival = win.arrival_ns
-            seq = win.seq
             n_local = arrival.shape[0]
             li = li0 = st.next_arrival - base
             # next local index at which to attempt a batched span drain
@@ -768,6 +858,8 @@ class SimKernel:
             try:
                 while li < n_local:
                     if li == span_li:
+                        # the span commits its own books after ours
+                        self._settle()
                         li2 = span.attempt(self, li, t_ns)
                         # the attempt replans/consumes the column plan:
                         # resync the mirrored locals unconditionally
@@ -786,6 +878,7 @@ class SimKernel:
                         if span_stride < _MAX_RETRY_STRIDE:
                             span_stride *= 2
                     if li >= seg_hi:
+                        self._settle()
                         seg_lo = li
                         seg_hi = li + _SEGMENT
                         if seg_hi > n_local:
@@ -801,6 +894,7 @@ class SimKernel:
                     if ev_heap and ev_heap[0][0] <= t:
                         complete_until(t)
                     if sample is not None:
+                        # a sampler that reads the books settles them
                         sample(t, self)
                     metrics.generated += 1
                     sid = svc_seg[k]
@@ -836,23 +930,15 @@ class SimKernel:
                         n = occ[core]
                         if n < cap:
                             q_items[core].append(base + li)
-                            n += 1
-                            occ[core] = n
-                            q = qs[core]
-                            if n > q.peak:
-                                q.peak = n
-                        else:
-                            q = qs[core]
-                            q.drops += 1
-                            metrics.dropped += 1
-                            drop_per_service[sid] += 1
-                            if q.down:  # black-holed: the target core is dead
-                                metrics.fault_dropped += 1
-                            reorder.on_drop(flow_seg[k], seq.item(li))
-                            if record_dep:
-                                drop_records.append((flow_seg[k], seq.item(li), t))
+                            occ[core] = n + 1
+                        else:  # full, or black-holed by a dead core
+                            log_append(~(base + li))
+                            log_append(core)
                     else:
-                        start_packet(core, base + li, t)
+                        pkt = base + li
+                        s = events._seq
+                        heappush(ev_heap, (begin(core, pkt, t), s, (core, pkt)))
+                        events._seq = s + 1
                     li += 1
             finally:
                 st.next_arrival = base + li
@@ -864,13 +950,14 @@ class SimKernel:
             # sliding: they bind the old window's arrays (and its
             # service-time column), and holding them across the pull
             # would double the resident window at the peak
-            complete_until = start_packet = sample = None
+            complete_until = begin = sample = None
             arr_seg = svc_seg = flow_seg = hash_seg = ()
             if not self._pull_chunk():
                 break  # source exhausted: every arrival dispatched
         if self._complete_until is None:  # pragma: no cover - defensive
             self._activate()
         self._complete_until(t_ns)
+        self._settle()
         st.now_ns = t_ns
 
     def next_event_ns(self) -> int | None:
@@ -937,6 +1024,7 @@ class SimKernel:
             st.now_ns = drain_end
         if probe is not None:
             probe.maybe_sample(max(drain_end, st.now_ns), self)
+        self._settle()
         st.drained = True
         # anything still in flight past the drain bound is abandoned
         # unscored (counted as neither departed nor dropped)
@@ -995,8 +1083,9 @@ class SimKernel:
         """
         if self._finished:
             raise SimulationError("kernel already finished")
+        self._settle()
         self._finished = True
-        self._start_packet = self._complete_until = None
+        self._begin = self._complete_until = None
         st = self.state
         return st.metrics.finalize(
             duration_ns=self.source.duration_ns,
@@ -1024,6 +1113,7 @@ class SimKernel:
         """
         if self._finished:
             raise SimulationError("cannot checkpoint a finished run")
+        self._settle()  # a no-op between advances; the log is not state
         payload = (self.state, self.scheduler, self.injector)
         try:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)

@@ -44,19 +44,24 @@ class BoundedQueue:
     list.
     """
 
-    __slots__ = ("capacity", "_items", "drops", "peak", "down", "_occ", "_idx")
+    __slots__ = ("capacity", "_items", "down", "_occ", "_idx")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigError(f"queue capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._items: deque[int] = deque()
-        self.drops = 0
-        self.peak = 0
         #: the owning core is dead; offers are refused (see module doc)
         self.down = False
         self._occ = [0]
         self._idx = 0
+
+    def __setstate__(self, state) -> None:
+        # checkpoints taken before the write-only ``drops`` and
+        # ``peak`` counters were removed carry them in their slot
+        # state: skip them
+        for name in self.__slots__:
+            setattr(self, name, state[1][name])
 
     def __len__(self) -> int:
         return len(self._items)
@@ -66,16 +71,12 @@ class BoundedQueue:
         self._occ[self._idx] = self.capacity if self.down else len(self._items)
 
     def offer(self, item: int) -> bool:
-        """Enqueue *item*; False (and a drop) when full or down."""
+        """Enqueue *item*; False when full or down."""
         items = self._items
         if self.down or len(items) >= self.capacity:
-            self.drops += 1
             return False
         items.append(item)
-        n = len(items)
-        self._occ[self._idx] = n
-        if n > self.peak:
-            self.peak = n
+        self._occ[self._idx] = len(items)
         return True
 
     def take(self) -> int:

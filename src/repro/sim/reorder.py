@@ -77,33 +77,12 @@ class ReorderDetector:
         return True
 
     def on_depart(self, flow_id: int, seq: int) -> bool:
-        """Account a departure; returns and counts out-of-order-ness.
-
-        The accounting is :meth:`_account` unrolled in place — this is
-        the egress hot path (one call per departed packet) and the
-        extra frame is measurable; keep the two bodies in lockstep.
-        """
-        self.accounted += 1
+        """Account a departure; returns and counts out-of-order-ness."""
         self.departed += 1
-        expected = self._next_expected.get(flow_id, 0)
-        if seq == expected:
-            expected += 1
-            pending = self._pending.get(flow_id)
-            if pending:
-                while expected in pending:
-                    pending.remove(expected)
-                    expected += 1
-                if not pending:
-                    del self._pending[flow_id]
-            self._next_expected[flow_id] = expected
-            return False
-        if seq < expected or seq in self._pending.get(flow_id, ()):
-            raise ValueError(
-                f"flow {flow_id} seq {seq} accounted twice (expected >= {expected})"
-            )
-        self._pending.setdefault(flow_id, set()).add(seq)
-        self.out_of_order += 1
-        return True
+        early = self._account(flow_id, seq)
+        if early:
+            self.out_of_order += 1
+        return early
 
     def on_drop(self, flow_id: int, seq: int) -> None:
         """Account a drop (advances sequencing, never counts as OOO)."""

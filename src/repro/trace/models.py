@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.hashing.five_tuple import PROTO_TCP, PROTO_UDP
 from repro.util.rng import make_rng
 
@@ -40,9 +41,9 @@ def zipf_weights(n: int, alpha: float) -> np.ndarray:
     sorted descending (rank 1 first), matching Fig. 2's axes.
     """
     if n <= 0:
-        raise ValueError(f"need at least one flow, got {n}")
+        raise ConfigError(f"need at least one flow, got {n}")
     if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+        raise ConfigError(f"alpha must be >= 0, got {alpha}")
     ranks = np.arange(1, n + 1, dtype=np.float64)
     w = ranks**-alpha
     return w / w.sum()
@@ -61,9 +62,9 @@ def capped_zipf_weights(n: int, alpha: float, cap: float) -> np.ndarray:
     feasibility.
     """
     if not 0.0 < cap <= 1.0:
-        raise ValueError(f"cap must be in (0, 1], got {cap}")
+        raise ConfigError(f"cap must be in (0, 1], got {cap}")
     if cap * n < 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"cap {cap} infeasible for {n} flows (cap * n must be >= 1)"
         )
     w = zipf_weights(n, alpha)
@@ -104,17 +105,17 @@ def elephant_mice_weights(
     Returns weights sorted descending (rank 1 = biggest elephant).
     """
     if not 0 < num_elephants < n:
-        raise ValueError(
+        raise ConfigError(
             f"num_elephants must be in (0, {n}), got {num_elephants}"
         )
     if not 0.0 < elephant_share < 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"elephant_share must be in (0, 1), got {elephant_share}"
         )
     w_e = zipf_weights(num_elephants, alpha_elephants) * elephant_share
     w_m = zipf_weights(n - num_elephants, alpha_mice) * (1.0 - elephant_share)
     if w_e[-1] <= w_m[0]:
-        raise ValueError(
+        raise ConfigError(
             "elephant and mice classes overlap: the smallest elephant "
             f"({w_e[-1]:.2e}) is not larger than the biggest mouse "
             f"({w_m[0]:.2e}); raise elephant_share or lower alpha_mice"
@@ -136,14 +137,14 @@ class PacketSizeModel:
 
     def __post_init__(self) -> None:
         if len(self.sizes) != len(self.probs) or not self.sizes:
-            raise ValueError("sizes and probs must be equal-length and non-empty")
+            raise ConfigError("sizes and probs must be equal-length and non-empty")
         if any(s <= 0 for s in self.sizes):
-            raise ValueError(f"packet sizes must be positive: {self.sizes}")
+            raise ConfigError(f"packet sizes must be positive: {self.sizes}")
         if any(p < 0 for p in self.probs):
-            raise ValueError(f"probabilities must be >= 0: {self.probs}")
+            raise ConfigError(f"probabilities must be >= 0: {self.probs}")
         total = sum(self.probs)
         if not np.isclose(total, 1.0, atol=1e-9):
-            raise ValueError(f"probabilities must sum to 1, got {total}")
+            raise ConfigError(f"probabilities must sum to 1, got {total}")
 
     @property
     def mean(self) -> float:
@@ -153,7 +154,7 @@ class PacketSizeModel:
     def sample(self, n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
         """Draw *n* sizes (int32)."""
         if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+            raise ConfigError(f"n must be >= 0, got {n}")
         rng = make_rng(rng)
         idx = rng.choice(len(self.sizes), size=n, p=np.asarray(self.probs))
         return np.asarray(self.sizes, dtype=np.int32)[idx]
@@ -235,11 +236,11 @@ class FlowPopulation:
         n = self.src_ip.shape[0]
         for arr in (self.dst_ip, self.src_port, self.dst_port, self.proto, self.weights):
             if arr.shape[0] != n:
-                raise ValueError("flow population columns have mismatched lengths")
+                raise ConfigError("flow population columns have mismatched lengths")
         if n == 0:
-            raise ValueError("flow population cannot be empty")
+            raise ConfigError("flow population cannot be empty")
         if np.any(self.weights < 0):
-            raise ValueError("flow weights must be non-negative")
+            raise ConfigError("flow weights must be non-negative")
 
     @property
     def num_flows(self) -> int:
@@ -265,9 +266,9 @@ class FlowPopulation:
         5-tuple (a requirement for the AFD ground truth to be exact).
         """
         if num_flows <= 0:
-            raise ValueError(f"need at least one flow, got {num_flows}")
+            raise ConfigError(f"need at least one flow, got {num_flows}")
         if not 0.0 <= tcp_fraction <= 1.0:
-            raise ValueError(f"tcp_fraction must be in [0, 1], got {tcp_fraction}")
+            raise ConfigError(f"tcp_fraction must be in [0, 1], got {tcp_fraction}")
         rng = make_rng(rng)
         seen = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
         parts: list[tuple[np.ndarray, ...]] = []
@@ -303,7 +304,7 @@ class FlowPopulation:
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape[0] != num_flows:
-                raise ValueError(
+                raise ConfigError(
                     f"weights length {weights.shape[0]} != num_flows {num_flows}"
                 )
         elif weight_cap is None:

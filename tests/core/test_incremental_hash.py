@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.incremental_hash import IncrementalHash
+from repro.errors import ConfigError
 
 
 class TestBasics:
@@ -28,7 +29,7 @@ class TestBasics:
         assert all(h.bucket_of(k) == k % 4 for k in range(64))
 
     def test_negative_key_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             IncrementalHash(4).bucket_of(-1)
 
 
@@ -143,7 +144,7 @@ class TestResizeAndDiagnostics:
         assert h.num_buckets == 2
 
     def test_resize_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             IncrementalHash(4).resize_to(0)
 
     def test_remapped_fraction_small(self):

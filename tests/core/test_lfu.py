@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lfu import LFUCache
+from repro.errors import ConfigError
 
 
 class NaiveLFU:
@@ -156,7 +157,7 @@ class TestBasics:
         assert c.is_full
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LFUCache(2).insert("a", -1)
 
 

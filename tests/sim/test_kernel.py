@@ -179,6 +179,39 @@ class TestObservers:
         assert late.run() == simulate(wl, StaticHashScheduler(), cfg)
 
 
+    def test_injector_attached_before_the_next_pending_event(self):
+        """An advance leaves the event queue's causality floor at the
+        last event it popped, never at the next pending one, so a fault
+        that falls between the horizon and the next completion still
+        binds and acts at its own instant."""
+        wl = trace_workload()
+        cfg = small_config(num_cores=8)
+        last = int(wl.arrival_ns[-1])
+        kernel = SimKernel(cfg, FCFSScheduler(), wl)
+        events = kernel.state.events
+        # advance to the first completion: the advance pops it and
+        # stops at the next pending event, later than the horizon
+        kernel.run_until(int(wl.arrival_ns[0]))
+        mid = events.peek_time()
+        kernel.run_until(mid)
+        assert events.now_ns == kernel.now_ns == mid
+        nxt = events.peek_time()
+        assert nxt > mid + 1
+        schedule = FaultSchedule([
+            CoreFail(mid + 1, core_id=0),
+            CoreRecover(last // 2, core_id=0),
+        ])
+        expected = simulate(wl, FCFSScheduler(), cfg,
+                            injector=FaultInjector(schedule))
+        injector = FaultInjector(schedule)
+        kernel.attach_injector(injector)
+        for t_ns in (nxt, last // 3, last // 2, last):
+            kernel.run_until(t_ns)
+            assert events.now_ns <= kernel.now_ns
+        assert kernel.run() == expected
+        assert injector.events_applied == 2
+
+
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
     def _roundtrip(self, wl, cfg, make_sched, make_injector=None):

@@ -19,7 +19,6 @@ class TestBoundedQueue:
         q = BoundedQueue(2)
         assert q.offer(1) and q.offer(2)
         assert not q.offer(3)
-        assert q.drops == 1
         assert len(q) == 2
 
     def test_full_empty_flags(self):
@@ -27,14 +26,6 @@ class TestBoundedQueue:
         assert len(q) == 0
         q.offer(1)
         assert len(q) == q.capacity
-
-    def test_peak_tracking(self):
-        q = BoundedQueue(8)
-        for i in range(5):
-            q.offer(i)
-        q.take()
-        q.take()
-        assert q.peak == 5
 
     def test_take_empty_raises(self):
         with pytest.raises(IndexError):

@@ -1,17 +1,20 @@
 """Tests for the exception hierarchy."""
 
+import numpy as np
 import pytest
 
 from repro import errors
 from repro.core.afd import AFDConfig
 from repro.core.incremental_hash import IncrementalHash
-from repro.core.laps import LAPSConfig
+from repro.core.laps import LAPSConfig, LAPSScheduler
 from repro.core.lfu import LFUCache
 from repro.core.migration import MigrationTable
 from repro.core.timing import LAPSTimingModel, SRAMModel
 from repro.sim.power import PowerModel
+from repro.sim.queues import QueueBank
 from repro.sim.restoration import RestorationBuffer
 from repro.sim.validation import md1k_loss_probability
+from repro.trace.models import FlowPopulation, PacketSizeModel
 from tests.sim.test_power import report
 
 
@@ -82,5 +85,42 @@ def test_detector_sizes_raise_config_error(build):
 def test_model_parameters_raise_config_error(build):
     """Bad timing, power, restoration and queueing-model parameters
     fail as a ``ConfigError`` too."""
+    with pytest.raises(errors.ConfigError):
+        build()
+
+
+def _population(n: int = 2, *, columns: int | None = None, weight: float = 1.0):
+    """A hand-built flow population; *columns* shortens one column."""
+    return FlowPopulation(
+        src_ip=np.zeros(n, dtype=np.uint32),
+        dst_ip=np.zeros(n if columns is None else columns, dtype=np.uint32),
+        src_port=np.zeros(n, dtype=np.uint16),
+        dst_port=np.zeros(n, dtype=np.uint16),
+        proto=np.zeros(n, dtype=np.uint8),
+        weights=np.full(n, weight),
+    )
+
+
+def _laps_select_negative_hash():
+    sched = LAPSScheduler(LAPSConfig(num_services=1))
+    sched.bind(QueueBank(4, 32))
+    sched.select_core(0, 0, -1, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PacketSizeModel((64, 128), (1.5, -0.5)),
+        lambda: _population(columns=1),
+        lambda: _population(0),
+        lambda: _population(weight=-1.0),
+        _laps_select_negative_hash,
+    ],
+    ids=["size-probs", "population-columns", "population-empty",
+         "population-weights", "laps-negative-hash"],
+)
+def test_trace_model_and_hash_inputs_raise_config_error(build):
+    """Bad trace-model parameters and negative flow hashes fail as a
+    ``ConfigError`` (the paths no model or hash test reaches)."""
     with pytest.raises(errors.ConfigError):
         build()

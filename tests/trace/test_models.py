@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.hashing.five_tuple import PROTO_TCP, PROTO_UDP
 from repro.trace.models import (
     FlowPopulation,
@@ -33,11 +34,11 @@ class TestZipfWeights:
         np.testing.assert_allclose(zipf_weights(1, 2.0), [1.0])
 
     def test_invalid_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             zipf_weights(0, 1.0)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             zipf_weights(10, -0.5)
 
     @given(st.integers(2, 200), st.floats(0.0, 2.5))
@@ -61,11 +62,11 @@ class TestCappedZipf:
         np.testing.assert_allclose(capped, raw)
 
     def test_infeasible_cap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             capped_zipf_weights(10, 1.0, cap=0.05)  # 10 * 0.05 < 1
 
     def test_bad_cap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             capped_zipf_weights(10, 1.0, cap=0.0)
 
     @given(
@@ -101,17 +102,17 @@ class TestElephantMice:
 
     def test_overlap_rejected(self):
         # tiny elephant share over many elephants vs few heavy mice
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             elephant_mice_weights(30, 20, 0.05, alpha_elephants=2.0, alpha_mice=0.0)
 
     def test_bad_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             elephant_mice_weights(10, 0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             elephant_mice_weights(10, 10, 0.5)
 
     def test_bad_share_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             elephant_mice_weights(10, 2, 1.0)
 
 
@@ -130,7 +131,7 @@ class TestPacketSizeModel:
         assert TRIMODAL_INTERNET_SIZES.sample(0, 1).shape == (0,)
 
     def test_sample_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TRIMODAL_INTERNET_SIZES.sample(-1, 1)
 
     def test_deterministic_model(self):
@@ -138,15 +139,15 @@ class TestPacketSizeModel:
         assert set(m.sample(10, 0)) == {64}
 
     def test_probs_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PacketSizeModel((1, 2), (0.5, 0.6))
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PacketSizeModel((1, 2), (1.0,))
 
     def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PacketSizeModel((0,), (1.0,))
 
     def test_sample_distribution_roughly_matches(self, rng):
@@ -181,7 +182,7 @@ class TestFlowPopulation:
         np.testing.assert_allclose(pop.weights, w)
 
     def test_weights_length_checked(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FlowPopulation.sample(3, 0.0, rng, weights=np.array([1.0]))
 
     def test_weight_cap_applied(self, rng):
@@ -189,7 +190,7 @@ class TestFlowPopulation:
         assert pop.weights.max() <= 0.05 + 1e-12
 
     def test_tcp_fraction_bounds(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FlowPopulation.sample(10, 1.0, rng, tcp_fraction=1.5)
 
     def test_protocols_valid(self, rng):
@@ -197,7 +198,7 @@ class TestFlowPopulation:
         assert set(np.unique(pop.proto)) <= {6, 17}
 
     def test_zero_flows_rejected(self, rng):
-        with pytest.raises(ValueError, match="need at least one flow, got 0"):
+        with pytest.raises(ConfigError, match="need at least one flow, got 0"):
             FlowPopulation.sample(0, 1.0, rng)
 
 
