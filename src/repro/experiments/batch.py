@@ -129,26 +129,14 @@ def _group_task(packed: tuple) -> list[tuple[int, BatchRun]]:
         scheduler = spec.scheduler_fn(**spec.scheduler_kwargs)
         injector = spec.build_injector()
         if spec.shards is not None and spec.shards > 1:
-            from repro.faults.events import FaultSchedule
-            from repro.sim.sharding import run_sharded
+            from repro.sim.sharding import run_sharded, sharded_fault_args
 
             if group_fingerprint is None:
                 # one content hash per shard group: every sharded run
                 # of this group partitions the identical packet stream,
                 # and the manifest records the shared proof
                 group_fingerprint = workload_fingerprint(workload)
-            schedule = None
-            drain_policy = "drop"
-            if injector is not None:
-                # match single-process simulate(): only platform events
-                # ride the injector; traffic events are the workload
-                # factory's job
-                platform = [
-                    ev for ev in injector.schedule.events
-                    if ev.kind == "platform"
-                ]
-                schedule = FaultSchedule(platform) if platform else None
-                drain_policy = injector.drain_policy
+            schedule, drain_policy = sharded_fault_args(injector)
             run = run_sharded(
                 workload, scheduler, spec.build_config(),
                 shards=spec.shards, workers=spec.shard_workers,

@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
@@ -47,14 +47,13 @@ from repro.faults.events import (
     TrafficSurge,
     core_flap,
 )
+from repro.faults.harness import fault_workload
 from repro.faults.injector import FaultInjector, apply_traffic_events
 from repro.net.service import default_services
 from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
 from repro.sim.config import SimConfig
-from repro.sim.generator import HoltWintersParams
 from repro.sim.metrics import SimReport
-from repro.sim.workload import Workload, build_workload
-from repro.workloads.traces import resolve_trace
+from repro.sim.workload import Workload
 
 __all__ = [
     "SCORECARD_SCHEMA",
@@ -142,18 +141,10 @@ def _zoo_workload(
     *utilisation* of ideal capacity, with the fault schedule's traffic
     events (surges) already applied — every scheduler in the cell sees
     the identical arrival stream."""
-    services = default_services()
-    traces = [
-        resolve_trace(name, num_packets=trace_packets)
-        for name in TRACE_GROUPS[group]
-    ]
-    per_service_cores = NUM_CORES // len(services)
-    params = []
-    for sid, trace in enumerate(traces):
-        mean_size = float(trace.size_bytes.mean())
-        cap = per_service_cores * services[sid].capacity_pps(mean_size)
-        params.append(HoltWintersParams(a=utilisation * cap))
-    workload = build_workload(traces, params, duration_ns=duration_ns, seed=seed)
+    workload = fault_workload(
+        utilisation, duration_ns, trace_packets=trace_packets, seed=seed,
+        num_cores=NUM_CORES, trace_names=TRACE_GROUPS[group],
+    )
     return apply_traffic_events(workload, _fault_schedule(fault, duration_ns))
 
 

@@ -33,7 +33,7 @@ workload, scheduler seed and schedule produce byte-identical metrics.
 
 Checkpointing: the injector pickles inside the kernel's
 :class:`~repro.sim.kernel.Checkpoint` (it holds no reference to the
-kernel); its pending timed events travel in the pickled event queue.
+kernel); its pending timed events travel in the pickled event heap.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class FaultInjector:
                     f"current time ({now} ns)"
                 )
             for ev in events:
-                kernel.state.events.push(ev.time_ns, (-1, ev))
+                kernel.state.push(ev.time_ns, (-1, ev))
         self._bound = True
 
     # ------------------------------------------------------------------
@@ -150,7 +150,7 @@ class FaultInjector:
             self.packets_killed += 1
             st.core_current_pkt[core] = -1
         st.core_busy[core] = True  # a dead core never pulls work
-        queued = st.queues[core].drain()
+        queued = st.queues.drain(core)
         st.queues.mark_down(core)
         # notify before touching the queued packets so an aware
         # scheduler has already evicted the core when reassignment
@@ -223,7 +223,7 @@ class FaultInjector:
                 f"{sched.name} returned core {core} during reassignment"
             )
         if st.core_busy[core]:
-            if st.queues[core].offer(pkt):
+            if st.queues.offer(core, pkt):
                 self.packets_reassigned += 1
             else:
                 self._drop_packet(kernel, pkt, t_ns)
@@ -258,10 +258,9 @@ def _transform_arrival_batch(
     on the *already-transformed* times; the composition is purely
     elementwise, so whole-array and per-chunk application produce
     identical values — :func:`apply_traffic_events` and
-    :class:`TrafficTransformSource` both route through here (and the
-    scalar twin :func:`_transform_arrival_scalar` mirrors the exact
-    float-divide-then-truncate surge arithmetic), which is what keeps
-    the two paths bit-identical.
+    :class:`TrafficTransformSource` both route through here (the
+    source's release horizon too), which is what keeps the two paths
+    bit-identical.
     """
     arrival = arrival.astype(np.int64, copy=True)
     for ev in events:
@@ -282,27 +281,6 @@ def _transform_arrival_batch(
         else:  # pragma: no cover - kinds are closed over this module
             raise ConfigError(f"unknown traffic event {ev!r}")
     return arrival
-
-
-def _transform_arrival_scalar(t_ns: int, service_id: int, events) -> int:
-    """Scalar twin of :func:`_transform_arrival_batch` (same arithmetic,
-    including the surge's float division + int truncation)."""
-    t = int(t_ns)
-    for ev in events:
-        if isinstance(ev, TrafficSurge):
-            if (
-                service_id == ev.service_id
-                and ev.time_ns <= t < ev.time_ns + ev.duration_ns
-            ):
-                t = ev.time_ns + int((t - ev.time_ns) / ev.factor)
-        elif isinstance(ev, ServiceFlap):
-            if service_id == ev.service_id:
-                for start, end in ev.outage_windows():
-                    if start <= t < end:
-                        t = end
-        else:  # pragma: no cover - kinds are closed over this module
-            raise ConfigError(f"unknown traffic event {ev!r}")
-    return t
 
 
 def apply_traffic_events(workload: Workload, schedule: FaultSchedule) -> Workload:
@@ -440,9 +418,13 @@ class TrafficTransformSource(PacketSource):
         inner packet: those at or below ``min_s g_s(W)``."""
         if self._pending is None or self._ingested_ns < 0:
             return 0
-        horizon = min(
-            _transform_arrival_scalar(self._ingested_ns, sid, self._events)
-            for sid in range(self.num_services)
+        n_svc = self.num_services
+        horizon = int(
+            _transform_arrival_batch(
+                np.full(n_svc, self._ingested_ns, dtype=np.int64),
+                np.arange(n_svc, dtype=np.int32),
+                self._events,
+            ).min()
         )
         # a future packet has original time >= W hence transformed time
         # >= g_s(W) >= horizon, and being later in input order it sorts

@@ -8,9 +8,8 @@ core models applying the processing-delay model of eq. 3-5, and an
 egress reorder detector.
 """
 
-from repro.sim.events import EventQueue
 from repro.sim.kernel import Checkpoint, SimKernel, SimState
-from repro.sim.queues import BoundedQueue, QueueBank
+from repro.sim.queues import QueueBank
 from repro.sim.latency import CoreConfig, TABLE_III_CORE
 from repro.sim.reorder import ReorderDetector
 from repro.sim.metrics import SimMetrics, SimReport
@@ -30,11 +29,9 @@ from repro.sim.restoration import RestorationBuffer, RestorationResult, restorat
 from repro.sim.power import PowerModel, PowerReport
 
 __all__ = [
-    "EventQueue",
     "Checkpoint",
     "SimKernel",
     "SimState",
-    "BoundedQueue",
     "QueueBank",
     "CoreConfig",
     "TABLE_III_CORE",

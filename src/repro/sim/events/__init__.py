@@ -1,7 +1,11 @@
-"""The event core: one heap queue, two paths over it.
+"""The event core: one heap, two paths over it.
 
-* :mod:`repro.sim.events.base` — the binary-heap :class:`EventQueue`
-  (checkpoints pickle it as it is);
+The future-event set is a plain binary heap of ``(time_ns, seq,
+payload)`` tuples owned by :class:`~repro.sim.kernel.SimState`
+(``heap``, with the ``seq`` tie-break counter, the ``last_pop_ns``
+causality floor and the ``popped`` count beside it).  This package
+holds the two drains over it:
+
 * :mod:`repro.sim.events.backend` — :func:`simulate_core`, the span
   drain's per-core phase-1 recurrence;
 * :mod:`repro.sim.events.span` — the batched arrival/departure drain
@@ -13,7 +17,3 @@ The kernel runs the span drain on the vectorized path (the default) and
 the per-packet heap closures alone on the scalar oracle
 (``vectorized=False``); both paths produce bit-identical reports.
 """
-
-from repro.sim.events.base import EventQueue
-
-__all__ = ["EventQueue"]

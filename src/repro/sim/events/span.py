@@ -16,9 +16,10 @@ case by draining a whole **span** of planned arrivals at once:
    end to end in one set of arrays and merged back into the exact
    scalar-kernel state: event seqs are assigned in the precise global
    start order the scalar loop would have produced (see below),
-   departures/latencies/metrics/queues/flow state are committed with
-   numpy gathers, and the event heap's pending set is replaced
-   wholesale via ``reset_entries``.
+   queues and flow state are committed with numpy gathers, the
+   pending set of ``SimState.heap`` is replaced in place, and the
+   departures and drops are booked through the kernel's one egress
+   booking (see below).
 
 **Exactness, not approximation.**  The scalar closures remain the
 bit-identity oracle; a span only commits when its semantics are
@@ -49,20 +50,21 @@ one trigger *time* across cores; those groups are fixed up in trigger
 strictly earlier than the start it triggers (service times are
 positive), so its own rank is already final.
 
-**Reorder accounting.**  The span's departures and drops, merged into
-the scalar loop's accounting order, go to the
-:class:`~repro.sim.reorder.ReorderDetector` as one batch
-(:meth:`~repro.sim.reorder.ReorderDetector.account_batch`).  The
-detector settles it with array operations — each touched flow's pending
-seqs folded in, one sort by (flow, seq), a per-flow running maximum of
-batch positions — and ends in exactly the state the per-event
-``on_depart``/``on_drop`` calls would leave, counters and pending sets
-included; the batch twin in ``tests/sim/test_reorder.py`` pins that.
+**Egress booking.**  The span's departures and drops, merged into the
+scalar loop's accounting order, go to
+:meth:`~repro.sim.kernel.SimKernel._book` as one batch — the same
+booking the scalar loop's egress log settles through: counters,
+latencies, records and one
+:meth:`~repro.sim.reorder.ReorderDetector.account_batch` call, which
+ends in exactly the state the per-event ``on_depart``/``on_drop`` calls
+would leave (the batch twin in ``tests/sim/test_reorder.py`` pins
+that).
 """
 
 from __future__ import annotations
 
 import time
+from heapq import heapify
 from itertools import chain
 
 import numpy as np
@@ -141,19 +143,20 @@ class SpanDriver:
         if st.core_speed.count(1.0) != n_cores:
             return li
         queues = st.queues
+        q_items = queues.items
+        if True in queues.down:
+            return li
         core_busy = st.core_busy
         core_current = st.core_current_pkt
         for c in range(n_cores):
-            if queues[c].down:
-                return li
-            if not core_busy[c] and len(queues[c]):
+            if not core_busy[c] and q_items[c]:
                 return li  # broken invariant: queued work on an idle core
 
         # every pending event must be the completion of a busy core's
         # current packet (no timed events, exactly one per busy core)
-        events = st.events
+        heap = st.heap
         busy_ev: dict[int, tuple[int, int]] = {}
-        for t_ev, s_ev, payload in events.entries():
+        for t_ev, s_ev, payload in heap:
             if type(payload) is not tuple or len(payload) != 2:
                 return li
             c_ev, p_ev = payload
@@ -166,7 +169,7 @@ class SpanDriver:
 
         # -- column coverage (same replan rule as the scalar loop) -----
         if sched.map_epoch != k._col_epoch or (
-            li >= k._col_hi and li > k._col_plan_li
+            li >= k._col_hi and li > k._col_lo
         ):
             k._plan_column(li)
         cl = k._col_lo
@@ -197,7 +200,7 @@ class SpanDriver:
         pre_pkts: list[list[int]] = []
         for c in range(n_cores):
             rows = [core_current[c]] if core_busy[c] else []
-            rows.extend(queues[c]._items)
+            rows.extend(q_items[c])
             pre_pkts.append(rows)
         n_pre = [len(rows) for rows in pre_pkts]
         pre_all = [g for rows in pre_pkts for g in rows]
@@ -288,7 +291,7 @@ class SpanDriver:
         # Phase 2: commit.  From here on nothing can bail.
         # ==============================================================
         t_commit0 = time.perf_counter_ns()
-        base_seq = events._seq
+        base_seq = st.seq
         metrics = st.metrics
 
         # -- per-core counters -----------------------------------------
@@ -315,10 +318,8 @@ class SpanDriver:
             arrival, li, base_seq,
         )
         n_dep_total = int(dep_fin.size)
-        dep_flow = win.flow_id[dep_lrow]
-        dep_pseq = win.seq[dep_lrow]
 
-        # -- drops in arrival order ------------------------------------
+        # -- drops in arrival order, with the core each was offered to -
         drop_row = np.fromiter(
             chain.from_iterable(
                 r[3][:nd] for r, nd in zip(per_core, n_drop_c) if nd
@@ -326,14 +327,13 @@ class SpanDriver:
             np.int64,
             sum(n_drop_c),
         )
-        drop_slot = row_off[np.repeat(np.arange(n_cores), n_drop_c)] + drop_row
-        drop_lrow = np.sort(s_lrow[drop_slot])
-        drop_t = arrival[drop_lrow]
-        drop_flow = win.flow_id[drop_lrow]
-        drop_pseq = win.seq[drop_lrow]
-        n_drop_total = int(drop_lrow.size)
+        drop_core = np.repeat(np.arange(n_cores, dtype=np.int64), n_drop_c)
+        drop_lrow = s_lrow[row_off[drop_core] + drop_row]
+        by_arrival = np.argsort(drop_lrow)
+        drop_lrow = drop_lrow[by_arrival]
+        drop_core = drop_core[by_arrival]
 
-        # -- metrics counters ------------------------------------------
+        # -- arrivals --------------------------------------------------
         metrics.generated += hi - li
         gen_counts = np.bincount(
             win.service_id[li:hi], minlength=metrics.num_services
@@ -341,34 +341,21 @@ class SpanDriver:
         gps = metrics.generated_per_service
         for s_id in np.nonzero(gen_counts)[0].tolist():
             gps[s_id] += int(gen_counts[s_id])
-        if n_drop_total:
-            metrics.dropped += n_drop_total
-            dcnt = np.bincount(
-                win.service_id[drop_lrow], minlength=metrics.num_services
-            )
-            dps = metrics.dropped_per_service
-            for s_id in np.nonzero(dcnt)[0].tolist():
-                dps[s_id] += int(dcnt[s_id])
-        if n_dep_total:
-            metrics.departed += n_dep_total
-            metrics.last_depart_ns = int(dep_fin[-1])
-        if cfg.collect_latencies:
-            metrics.latencies_ns.extend(
-                (dep_fin - arrival[dep_lrow]).tolist()
-            )
-        if cfg.record_departures:
-            st.departures.extend(
-                zip(dep_flow.tolist(), dep_pseq.tolist(), dep_fin.tolist())
-            )
-            st.drop_records.extend(
-                zip(drop_flow.tolist(), drop_pseq.tolist(), drop_t.tolist())
-            )
 
-        # -- reorder accounting ----------------------------------------
-        self._commit_reorder(
-            st.reorder, dep_fin, dep_flow, dep_pseq,
-            drop_t, drop_flow, drop_pseq,
-        )
+        # -- egress, booked in the scalar loop's accounting order ------
+        # complete_until(t) pops every fin <= t before the arrival at t
+        # runs its drop.  Both streams come sorted (departures by (fin,
+        # event seq), drops by arrival index), so one stable sort on
+        # time merges them: it keeps each stream's order and puts
+        # departures first at equal instants.
+        if n_dep_total or drop_lrow.size:
+            order = np.argsort(
+                np.concatenate([dep_fin, arrival[drop_lrow]]), kind="stable"
+            )
+            k._book(
+                np.concatenate([base + dep_lrow, ~(base + drop_lrow)])[order],
+                np.concatenate([dep_fin, drop_core])[order],
+            )
 
         # -- flow state ------------------------------------------------
         mig = np.asarray(migrated, dtype=bool)
@@ -403,7 +390,7 @@ class SpanDriver:
             out = r[5]
             cur, cur_fin = out[2], out[3]
             i_cur = i + out[5] - out[4]
-            items = queues[c]._items
+            items = q_items[c]
             items.clear()
             items.extend(pkt_l[i:i_cur])
             i = i_cur + 1
@@ -418,13 +405,13 @@ class SpanDriver:
             else:
                 core_busy[c] = False
                 core_current[c] = -1
-        last_pop = int(dep_fin[-1]) if n_dep_total else events._last_pop_ns
-        events.reset_entries(
-            new_entries,
-            seq=base_seq + n_started,
-            last_pop_ns=last_pop,
-            popped_delta=n_dep_total,
-        )
+        # the kernel's closures bind the heap list: refill it in place
+        heap[:] = new_entries
+        heapify(heap)
+        st.seq = base_seq + n_started
+        if n_dep_total:
+            st.last_pop_ns = int(dep_fin[-1])
+            st.popped += n_dep_total
 
         # -- scheduler per-packet bookkeeping --------------------------
         if commit_span is not None:
@@ -544,28 +531,3 @@ class SpanDriver:
         dep_fin = e_fin[dm]
         ord_dep = np.lexsort((e_seq[dm], dep_fin))
         return dep_fin[ord_dep], e_lrow[dm][ord_dep], n_started, last_seq
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _commit_reorder(
-        det, dep_fin, dep_flow, dep_pseq, drop_t, drop_flow, drop_pseq,
-    ) -> None:
-        """Apply the span's departures and drops to the detector in one
-        :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call.
-
-        The accounting order is the scalar loop's: ``complete_until(t)``
-        pops every fin ≤ t before the arrival at t runs its drop.  Both
-        streams come sorted (departures by (fin, event seq), drops by
-        arrival index), so one stable sort on time merges them: it
-        keeps each stream's order and puts departures first at equal
-        instants.
-        """
-        n_dep = int(dep_fin.size)
-        if n_dep + int(drop_t.size) == 0:
-            return
-        order = np.argsort(np.concatenate([dep_fin, drop_t]), kind="stable")
-        det.account_batch(
-            np.concatenate([dep_flow, drop_flow])[order],
-            np.concatenate([dep_pseq, drop_pseq])[order],
-            order >= n_dep,
-        )

@@ -76,15 +76,15 @@ from __future__ import annotations
 import pickle
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
+from typing import Any
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.schedulers.base import Scheduler
 from repro.sim.config import SimConfig
-from repro.sim.events import EventQueue
 from repro.sim.events.span import RETRY_STRIDE, SpanDriver
 from repro.sim.metrics import SimMetrics, SimReport
 from repro.sim.queues import QueueBank
@@ -102,12 +102,12 @@ from repro.sim.workload import Workload
 __all__ = ["SimState", "SimKernel", "Checkpoint", "CHECKPOINT_VERSION"]
 
 #: bump when the pickled state layout changes incompatibly.
-#: v6: the blob is exactly ``(SimState, scheduler, injector)`` with
-#: ``SimState.events`` the live :class:`~repro.sim.events.EventQueue`
-#: and the queue bank pickled with its ``occ`` list; the source cursor,
-#: window chunks and event snapshot of v5 are gone, so a v5 blob no
-#: longer unpickles into this layout.
-CHECKPOINT_VERSION = 6
+#: v7: the blob is exactly ``(SimState, scheduler, injector)``; the
+#: event heap and its bookkeeping are plain ``SimState`` fields and the
+#: queue bank holds its FIFOs as a list of deques, so the v6 layout
+#: (an ``EventQueue`` object and one ``BoundedQueue`` per core) no
+#: longer unpickles into it.
+CHECKPOINT_VERSION = 7
 
 #: local-index stride the arrival loop converts to plain Python lists
 #: at a time — bounds resident unboxed columns to O(segment) for any
@@ -143,6 +143,15 @@ class SimState:
     (``next_arrival``, ``core_current_pkt``, queue contents, heap
     completions) are *global* positions in the packet sequence, valid
     across window slides.
+
+    The future-event set is ``heap``, a binary heap of ``(time_ns, seq,
+    payload)`` tuples: a completion's payload is ``(core, pkt)``, a
+    timed platform event's ``(-1, event)``.  ``seq`` is the tie-break
+    counter, so equal instants pop in push order and payloads are never
+    compared.  :meth:`push` is the checked way in; the kernel's
+    compiled closures and the span commit work on the list directly and
+    keep ``seq``, ``last_pop_ns`` and ``popped`` exact themselves
+    before anything reads them or pushes.
     """
 
     #: horizon up to which the run has advanced (``run_until`` bound)
@@ -163,7 +172,6 @@ class SimState:
     flow_last_core: list[int]
     flow_migrated: np.ndarray
     queues: QueueBank
-    events: EventQueue
     metrics: SimMetrics
     reorder: ReorderDetector
     departures: list[tuple[int, int, int]]
@@ -172,6 +180,15 @@ class SimState:
     #: with a streamed source the final arrival time is not known up
     #: front, so the run loop records it as it dispatches)
     last_arrival_ns: int = 0
+    #: pending events; mutated in place, never rebound (closures bind it)
+    heap: list[tuple[int, int, Any]] = field(default_factory=list)
+    #: seq of the next pushed event
+    seq: int = 0
+    #: time of the last popped event (-1 before the first pop) — the
+    #: earliest instant a new event may be scheduled at
+    last_pop_ns: int = -1
+    #: lifetime count of popped events (profiling signal)
+    popped: int = 0
 
     @classmethod
     def initial(cls, config: SimConfig, source: PacketSource) -> "SimState":
@@ -189,12 +206,25 @@ class SimState:
             flow_last_core=[-1] * source.num_flows,
             flow_migrated=np.zeros(source.num_flows, dtype=bool),
             queues=QueueBank(config.num_cores, config.queue_capacity),
-            events=EventQueue(),
             metrics=SimMetrics(len(config.services), config.num_cores),
             reorder=ReorderDetector(),
             departures=[],
             drop_records=[],
         )
+
+    def push(self, time_ns: int, payload: Any) -> None:
+        """Schedule *payload* at *time_ns*.
+
+        Scheduling into the past (before the last popped event) is a
+        causality violation and raises :class:`SimulationError`.
+        """
+        if time_ns < self.last_pop_ns:
+            raise SimulationError(
+                f"event scheduled at {time_ns} ns, before current time "
+                f"{self.last_pop_ns} ns"
+            )
+        heappush(self.heap, (time_ns, self.seq, payload))
+        self.seq += 1
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +373,6 @@ class SimKernel:
         self._col_lo = 0
         self._col_hi = 0
         self._col_epoch = -1
-        self._col_plan_li = -1
         #: nominal service-time column for the live window (set by
         #: :meth:`_activate`, consumed by the span drain)
         self._nominal: np.ndarray | None = None
@@ -379,7 +408,7 @@ class SimKernel:
     @property
     def events_popped(self) -> int:
         """Heap events popped so far (profiling signal)."""
-        return self.state.events.popped
+        return self.state.popped
 
     @property
     def now_ns(self) -> int:
@@ -440,10 +469,11 @@ class SimKernel:
         for pkt in st.core_current_pkt:
             if 0 <= pkt < lo:
                 lo = pkt
-        for q in st.queues:
-            m = q.min_item()
-            if m is not None and m < lo:
-                lo = m
+        for items in st.queues.items:
+            if items:
+                m = min(items)
+                if m < lo:
+                    lo = m
         return lo
 
     def _pull_chunk(self) -> bool:
@@ -481,7 +511,6 @@ class SimKernel:
         self._col_arr = None
         self._col_lo = self._col_hi = 0
         self._col_epoch = -1
-        self._col_plan_li = -1
         return True
 
     def _plan_column(self, li: int) -> None:
@@ -511,7 +540,6 @@ class SimKernel:
             self._col_arr = out
             self._col_hi = li + len(self._col)
         self._col_lo = li
-        self._col_plan_li = li
         self._col_epoch = sched.map_epoch
         self.plan_ns += time.perf_counter_ns() - t0
 
@@ -554,7 +582,6 @@ class SimKernel:
         flow_last_core = st.flow_last_core
         flow_migrated = st.flow_migrated
         queues = st.queues
-        events = st.events
         metrics = st.metrics
         base = win.base
         # nominal per-packet service time (eq. 3 without penalties),
@@ -587,16 +614,14 @@ class SimKernel:
         apply_timed = (
             self._apply_timed if self.injector is not None else _no_timed_handler
         )
-        # per-core FIFO deques and the bank's occ list, hoisted past
-        # QueueBank.__getitem__ and BoundedQueue.take: the loop tests
-        # and pops a deque itself (both are mutated in place for a
+        # the bank's per-core deques and occ list: the loop tests and
+        # pops a deque itself (both lists are mutated in place for a
         # bank's whole lifetime, so the bindings stay valid)
-        q_items = [q._items for q in queues]
+        q_items = queues.items
         occ = queues.occ
-
-        # the completion loop works on the raw heap list with the
-        # queue's bookkeeping batched in locals
-        heap = events.heap
+        # the completion loop works on the heap list with its
+        # bookkeeping batched in locals
+        heap = st.heap
 
         def begin(core: int, pkt: int, t_ns: int) -> int:
             """Begin service of packet *pkt* (global index) on *core* at
@@ -632,30 +657,31 @@ class SimKernel:
             holds queued work starts the next packet by replacing its
             own heap entry (one ``heapreplace``; completions land at or
             after the pop, so no causality check is needed).  The
-            queue's popped/now/seq bookkeeping is batched in locals and
-            written back before any timed-event dispatch — after
-            settling the books, so an injector that pushes events or
-            accounts drops sees exact state — and at exit.
+            heap's popped/last-pop/seq bookkeeping is batched in locals
+            and written back to the state before any timed-event
+            dispatch — after settling the books, so an injector that
+            pushes events or accounts drops sees exact state — and at
+            exit.
             """
-            s = events._seq
+            s = st.seq
             n_popped = 0
             t_done = -1
             while heap:
                 t, _, payload = heap[0]
                 if t > horizon_ns:
                     break
-                # only a popped event moves the queue's causality floor
+                # only a popped event moves the causality floor
                 t_done = t
                 n_popped += 1
                 core, pkt = payload
                 if core < 0:  # timed platform event, not a completion
                     heappop(heap)
-                    events.popped += n_popped
-                    events._last_pop_ns = t_done
-                    events._seq = s
+                    st.popped += n_popped
+                    st.last_pop_ns = t_done
+                    st.seq = s
                     n_popped = 0
                     apply_timed(pkt, t_done)
-                    s = events._seq
+                    s = st.seq
                     continue
                 if killed_pkts and pkt in killed_pkts:
                     heappop(heap)
@@ -674,9 +700,9 @@ class SimKernel:
                     core_busy[core] = False
                     core_current_pkt[core] = -1
             if n_popped:
-                events.popped += n_popped
-                events._last_pop_ns = t_done
-                events._seq = s
+                st.popped += n_popped
+                st.last_pop_ns = t_done
+                st.seq = s
 
         self._begin = begin
         self._complete_until = complete_until
@@ -703,7 +729,7 @@ class SimKernel:
         """Begin service of *pkt* on *core* (injector reassignment path)."""
         if self._begin is None:
             self._activate()
-        self.state.events.push(self._begin(core, pkt, t_ns), (core, pkt))
+        self.state.push(self._begin(core, pkt, t_ns), (core, pkt))
 
     def _apply_timed(self, event, t_ns: int) -> None:
         """Hand a timed heap event to the injector, books settled first:
@@ -717,13 +743,7 @@ class SimKernel:
         the current instant.
 
         The scalar loop only records its departures and drops, one
-        egress-log row each.  Settling applies the log in accounting
-        order: one
-        :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call
-        (the span commit's settle), latencies as one vector
-        subtraction, the departure and drop counters, and the
-        departure/drop records when they are recorded.  The result
-        equals per-event bookkeeping field for field.
+        egress-log row each; settling books the log with :meth:`_book`.
 
         It runs at every segment reload of the arrival loop, before a
         span attempt, before a timed event reaches the injector, before
@@ -735,14 +755,27 @@ class SimKernel:
         log = self._log
         if not log:
             return
+        rows = np.fromiter(log, np.int64, len(log)).reshape(-1, 2)
+        log.clear()
+        self._book(rows[:, 0], rows[:, 1])
+
+    def _book(self, key: np.ndarray, val: np.ndarray) -> None:
+        """Book a non-empty run of egress events, in accounting order.
+
+        A departure is ``key = pkt, val = depart_ns``, a drop ``key =
+        ~pkt, val =`` the core it was offered to (global packet indices
+        in the live window).  Booking is one
+        :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call,
+        latencies as one vector subtraction, the departure and drop
+        counters, and the departure/drop records when they are
+        recorded; the result equals per-event bookkeeping field for
+        field.  The scalar loop's :meth:`_settle` and the span commit
+        both book through here.
+        """
         st = self.state
         win = self.window
         base = win.base
         m = st.metrics
-        rows = np.fromiter(log, np.int64, len(log)).reshape(-1, 2)
-        log.clear()
-        key = rows[:, 0]
-        val = rows[:, 1]
         drop = key < 0
         li = np.where(drop, ~key, key) - base
         flow = win.flow_id[li]
@@ -809,15 +842,14 @@ class SimKernel:
         cap = cfg.queue_capacity
         core_busy = st.core_busy
         queues = st.queues
-        # the enqueue below is BoundedQueue.offer inlined: occ[core] is
+        # the enqueue below is QueueBank.offer inlined: occ[core] is
         # the queue length while up and cap while down, so one test
         # covers full and down (see repro.sim.queues)
-        q_items = [q._items for q in queues]
+        q_items = queues.items
         occ = queues.occ
         metrics = st.metrics
         gen_per_service = metrics.generated_per_service
-        events = st.events
-        ev_heap = events.heap  # mutated in place; identity is stable
+        ev_heap = st.heap  # mutated in place; identity is stable
         log_append = self._log.append
         batch_on = self._batch_on
         # every plan rides the span drain
@@ -848,7 +880,6 @@ class SimKernel:
             cl = self._col_lo
             ch = self._col_hi
             col_epoch = self._col_epoch
-            plan_li = self._col_plan_li
             # arrival columns are unboxed to plain lists one bounded
             # segment at a time: list indexing beats per-packet numpy
             # scalar conversion several times over
@@ -858,7 +889,7 @@ class SimKernel:
             try:
                 while li < n_local:
                     if li == span_li:
-                        # the span commits its own books after ours
+                        # a span books its egress after the log's
                         self._settle()
                         li2 = span.attempt(self, li, t_ns)
                         # the attempt replans/consumes the column plan:
@@ -867,7 +898,6 @@ class SimKernel:
                         cl = self._col_lo
                         ch = self._col_hi
                         col_epoch = self._col_epoch
-                        plan_li = self._col_plan_li
                         if li2 > li:
                             li = li2
                             seg_hi = li  # stale: force a segment reload
@@ -906,14 +936,13 @@ class SimKernel:
                         # epoch: replan the remaining suffix.  Also
                         # replan on walking off a non-empty span.
                         if sched.map_epoch != col_epoch or (
-                            li >= ch and li > plan_li
+                            li >= ch and li > cl
                         ):
                             self._plan_column(li)
                             col = self._col
                             cl = self._col_lo
                             ch = self._col_hi
                             col_epoch = self._col_epoch
-                            plan_li = self._col_plan_li
                         if cl <= li < ch:
                             core = col[li - cl]
                             if commit is not None:
@@ -936,9 +965,9 @@ class SimKernel:
                             log_append(core)
                     else:
                         pkt = base + li
-                        s = events._seq
+                        s = st.seq
                         heappush(ev_heap, (begin(core, pkt, t), s, (core, pkt)))
-                        events._seq = s + 1
+                        st.seq = s + 1
                     li += 1
             finally:
                 st.next_arrival = base + li
@@ -964,7 +993,8 @@ class SimKernel:
         """Time of the next pending instant (arrival or heap event),
         or None when nothing is left.  May pull a source chunk to see
         the next arrival (deterministic and idempotent)."""
-        nxt = self.state.events.peek_time()
+        heap = self.state.heap
+        nxt = heap[0][0] if heap else None
         t_arr = self._peek_arrival_ns()
         if t_arr is not None:
             nxt = t_arr if nxt is None else min(nxt, t_arr)
@@ -1000,7 +1030,7 @@ class SimKernel:
             self._activate()
         cfg = self.config
         st = self.state
-        events = st.events
+        heap = st.heap
         complete_until = self._complete_until
         probe = self.probe
         last_arrival_ns = st.last_arrival_ns
@@ -1012,10 +1042,7 @@ class SimKernel:
                 t += step
             # stop early when the next heap event is past the drain
             # bound: nothing can change before drain_end
-            while t < drain_end and events:
-                nxt = events.peek_time()
-                if nxt is not None and nxt > drain_end:
-                    break
+            while t < drain_end and heap and heap[0][0] <= drain_end:
                 complete_until(t)
                 probe.maybe_sample(t, self)
                 t += step

@@ -21,7 +21,7 @@ See ``docs/architecture.md`` ("Sharded execution") for the protocol.
 """
 
 from repro.sim.sharding.aggregate import merge_shard_results
-from repro.sim.sharding.coordinator import ShardedRun, run_sharded
+from repro.sim.sharding.coordinator import ShardedRun, run_sharded, sharded_fault_args
 from repro.sim.sharding.mailbox import (
     CoreGrant,
     CoreOffer,
@@ -37,6 +37,7 @@ from repro.sim.sharding.topology import ShardTopology, plan_topology
 
 __all__ = [
     "run_sharded",
+    "sharded_fault_args",
     "ShardedRun",
     "Shard",
     "ShardSpec",

@@ -51,7 +51,7 @@ from repro.sim.source import MaterializedSource, PacketSource
 from repro.sim.workload import Workload
 from repro.util.parallel import default_jobs, in_pool_worker, shared_pool
 
-__all__ = ["ShardedRun", "run_sharded", "DEFAULT_WINDOW_NS"]
+__all__ = ["ShardedRun", "run_sharded", "sharded_fault_args", "DEFAULT_WINDOW_NS"]
 
 #: services-mode barrier interval when the caller does not pick one:
 #: 1 ms of simulated time — two orders of magnitude above per-packet
@@ -176,6 +176,20 @@ def _select_mode(scheduler) -> str:
         "sprinklers, adaptive-hash) cannot be partitioned without "
         "changing their results — run them single-process."
     )
+
+
+def sharded_fault_args(injector) -> tuple[FaultSchedule | None, str]:
+    """The ``(schedule, drain_policy)`` arguments of :func:`run_sharded`
+    that stand for a single-process run's fault *injector* (``(None,
+    "drop")`` without one).
+
+    Only the injector's platform events ride along, as they do in a
+    single-process run: traffic events are the workload's job.
+    """
+    if injector is None:
+        return None, "drop"
+    platform = [ev for ev in injector.schedule.events if ev.kind == "platform"]
+    return (FaultSchedule(platform) if platform else None), injector.drain_policy
 
 
 def run_sharded(

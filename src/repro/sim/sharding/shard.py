@@ -128,7 +128,7 @@ class Shard:
             # a core handed over at a barrier must carry no in-flight
             # state: still serving a packet or holding queued
             # descriptors disqualifies it this window
-            if st.core_busy[core] or len(st.queues[core]) > 0:
+            if st.core_busy[core] or st.queues.items[core]:
                 continue
             offers.append(
                 CoreOffer(

@@ -88,17 +88,9 @@ def simulate(
                 "not supported on sharded runs — run single-process, or "
                 "drop the probe"
             )
-        from repro.faults.events import FaultSchedule
-        from repro.sim.sharding import run_sharded
+        from repro.sim.sharding import run_sharded, sharded_fault_args
 
-        schedule = None
-        drain_policy = "drop"
-        if injector is not None:
-            platform = [
-                ev for ev in injector.schedule.events if ev.kind == "platform"
-            ]
-            schedule = FaultSchedule(platform) if platform else None
-            drain_policy = injector.drain_policy
+        schedule, drain_policy = sharded_fault_args(injector)
         return run_sharded(
             workload, scheduler, config,
             shards=shards, workers=shard_workers,

@@ -52,7 +52,7 @@ def assert_books_balance(view) -> None:
     departed = metrics.departed
     dropped = metrics.dropped
     n_latencies = len(metrics.latencies_ns)
-    queued = sum(len(q) for q in view.queues)
+    queued = sum(len(q) for q in view.queues.items)
     serving = sum(1 for pkt in view.state.core_current_pkt if pkt >= 0)
     assert generated == departed + dropped + queued + serving
     reorder = view.reorder
@@ -97,8 +97,8 @@ def test_books_balance_at_every_observation(name, fault, drain_policy):
     for t_ns in horizons:
         kernel.run_until(t_ns)
         assert_books_balance(kernel)
-        # the event queue's causality floor is the last popped event
-        assert kernel.state.events.now_ns <= kernel.now_ns
+        # the heap's causality floor is the last popped event
+        assert kernel.state.last_pop_ns <= kernel.now_ns
     report = kernel.run()
     assert_books_balance(kernel)
     assert books.samples > DURATION_NS // units.us(20) // 2

@@ -1,96 +1,74 @@
-"""Tests for the event heap."""
+"""Tests for the event heap: ``SimState.push`` and the heap fields."""
 
+from heapq import heappop
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
+from repro.sim.config import SimConfig
+from repro.sim.kernel import SimState
+from repro.sim.source import MaterializedSource
+from repro.sim.workload import Workload
+
+
+def _state() -> SimState:
+    one = np.zeros(1, dtype=np.int64)
+    wl = Workload(
+        arrival_ns=one, service_id=one.astype(np.int32), flow_id=one,
+        size_bytes=one + 64, flow_hash=one, seq=one,
+        num_flows=1, num_services=1, duration_ns=1,
+    )
+    return SimState.initial(SimConfig(num_cores=2), MaterializedSource(wl))
+
+
+def _pop(st: SimState):
+    """Pop the next event the way the kernel's loop does."""
+    time_ns, _, payload = heappop(st.heap)
+    st.last_pop_ns = time_ns
+    st.popped += 1
+    return time_ns, payload
 
 
 class TestOrdering:
     def test_time_order(self):
-        q = EventQueue()
-        q.push(30, "c")
-        q.push(10, "a")
-        q.push(20, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        st = _state()
+        st.push(30, "c")
+        st.push(10, "a")
+        st.push(20, "b")
+        assert [_pop(st)[1] for _ in range(3)] == ["a", "b", "c"]
 
     def test_ties_pop_in_insertion_order(self):
-        q = EventQueue()
-        q.push(5, "first")
-        q.push(5, "second")
-        assert q.pop()[1] == "first"
-        assert q.pop()[1] == "second"
+        st = _state()
+        st.push(5, "first")
+        st.push(5, "second")
+        assert st.heap == [(5, 0, "first"), (5, 1, "second")]
+        assert st.seq == 2
+        assert _pop(st)[1] == "first"
+        assert _pop(st)[1] == "second"
 
     def test_payloads_never_compared(self):
-        q = EventQueue()
-        q.push(1, object())
-        q.push(1, object())  # would raise if tuples compared payloads
-        q.pop()
-        q.pop()
+        st = _state()
+        st.push(1, object())
+        st.push(1, object())  # would raise if tuples compared payloads
+        _pop(st)
+        _pop(st)
+        assert st.popped == 2
 
 
 class TestCausality:
     def test_push_into_past_rejected(self):
-        q = EventQueue()
-        q.push(10, "a")
-        q.pop()
-        with pytest.raises(SimulationError):
-            q.push(5, "late")
+        st = _state()
+        st.push(10, "a")
+        _pop(st)
+        with pytest.raises(SimulationError, match="before current time 10"):
+            st.push(5, "late")
+        assert st.heap == [] and st.seq == 1
 
     def test_push_at_current_time_ok(self):
-        q = EventQueue()
-        q.push(10, "a")
-        q.pop()
-        q.push(10, "b")
-        assert q.pop() == (10, "b")
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-
-class TestMisc:
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q and len(q) == 0
-        q.push(1, "x")
-        assert q and len(q) == 1
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(7, "x")
-        assert q.peek_time() == 7
-
-    def test_clear(self):
-        q = EventQueue()
-        q.push(1, "x")
-        q.pop()
-        q.clear()
-        q.push(0, "ok")  # causality reset
-
-    def test_clear_resets_tie_break_counter(self):
-        # a cleared queue must replay a push sequence with the same
-        # (time, seq) heap entries as a fresh one; a stale counter
-        # would make recycled queues order (and serialize) differently
-        q = EventQueue()
-        for i in range(5):
-            q.push(10, i)
-        q.pop()
-        q.clear()
-        q.push(7, "first")
-        fresh = EventQueue()
-        fresh.push(7, "first")
-        assert q._heap == fresh._heap  # seq restarts at 0
-
-    def test_cleared_queue_matches_fresh_pop_order(self):
-        q = EventQueue()
-        q.push(3, "x")
-        q.clear()
-        fresh = EventQueue()
-        for target in (q, fresh):
-            target.push(5, "a")
-            target.push(5, "b")
-            target.push(2, "c")
-        assert [q.pop() for _ in range(3)] == [fresh.pop() for _ in range(3)]
-        assert q.popped == fresh.popped == 3
+        st = _state()
+        assert st.last_pop_ns == -1
+        st.push(10, "a")
+        _pop(st)
+        st.push(10, "b")
+        assert _pop(st) == (10, "b")

@@ -180,22 +180,22 @@ class TestObservers:
 
 
     def test_injector_attached_before_the_next_pending_event(self):
-        """An advance leaves the event queue's causality floor at the
-        last event it popped, never at the next pending one, so a fault
-        that falls between the horizon and the next completion still
-        binds and acts at its own instant."""
+        """An advance leaves the heap's causality floor at the last
+        event it popped, never at the next pending one, so a fault that
+        falls between the horizon and the next completion still binds
+        and acts at its own instant."""
         wl = trace_workload()
         cfg = small_config(num_cores=8)
         last = int(wl.arrival_ns[-1])
         kernel = SimKernel(cfg, FCFSScheduler(), wl)
-        events = kernel.state.events
+        st = kernel.state
         # advance to the first completion: the advance pops it and
         # stops at the next pending event, later than the horizon
         kernel.run_until(int(wl.arrival_ns[0]))
-        mid = events.peek_time()
+        mid = st.heap[0][0]
         kernel.run_until(mid)
-        assert events.now_ns == kernel.now_ns == mid
-        nxt = events.peek_time()
+        assert st.last_pop_ns == kernel.now_ns == mid
+        nxt = st.heap[0][0]
         assert nxt > mid + 1
         schedule = FaultSchedule([
             CoreFail(mid + 1, core_id=0),
@@ -207,7 +207,7 @@ class TestObservers:
         kernel.attach_injector(injector)
         for t_ns in (nxt, last // 3, last // 2, last):
             kernel.run_until(t_ns)
-            assert events.now_ns <= kernel.now_ns
+            assert st.last_pop_ns <= kernel.now_ns
         assert kernel.run() == expected
         assert injector.events_applied == 2
 

@@ -35,7 +35,9 @@ DURATION_NS = units.us(500)
 def assert_exact(kernel: SimKernel) -> None:
     bank = kernel.queues
     cap = bank.queue_capacity
-    assert bank.occ == [cap if q.down else len(q) for q in bank]
+    assert bank.occ == [
+        cap if down else len(q) for q, down in zip(bank.items, bank.down)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -84,13 +86,15 @@ def test_occ_exact_at_every_pause(
     wl = _workload_with(fault, utilisation)
     kernel = _kernel(name, fault, drain_policy, wl, vectorized)
     occ = kernel.queues.occ
+    items = kernel.queues.items
     assert_exact(kernel)
     resume_at = data.draw(st.integers(0, len(horizons) - 1), label="resume_at")
     resumed = None
     for i, t in enumerate(horizons):
         kernel.run_until(t)
         assert_exact(kernel)
-        assert kernel.queues.occ is occ  # mutated in place, never rebound
+        # mutated in place, never rebound
+        assert kernel.queues.occ is occ and kernel.queues.items is items
         if resumed is not None:
             resumed.run_until(t)
             assert_exact(resumed)
@@ -106,20 +110,19 @@ def test_occ_exact_at_every_pause(
     assert_exact(resumed)
 
 
-def test_committed_v6_checkpoint_keeps_occ_exact():
-    """A v6 blob pickles the bank with its ``occ`` list: the list comes
-    back exact, shared by every queue and by the scheduler's load view
-    (the blob was taken with core 1 down)."""
+def test_committed_v7_checkpoint_keeps_occ_exact():
+    """A v7 blob pickles the bank with its ``occ`` list: the list comes
+    back exact and shared with the scheduler's load view (the blob was
+    taken with core 1 down)."""
     saved = pickle.loads(gzip.decompress(
-        (FIXTURES / "checkpoint_v6.pkl.gz").read_bytes()
+        (FIXTURES / "checkpoint_v7.pkl.gz").read_bytes()
     ))
     ckpt = Checkpoint.from_bytes(saved["checkpoint"])
     kernel = SimKernel.resume(
         ckpt, _config(record_departures=False), _workload(1, None)
     )
     assert_exact(kernel)
-    assert all(q._occ is kernel.queues.occ for q in kernel.queues)
-    assert kernel.queues[1].down
+    assert kernel.queues.down[1]
     assert kernel.scheduler.loads is kernel.queues
     kernel.run()
     assert_exact(kernel)

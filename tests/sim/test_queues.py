@@ -1,45 +1,45 @@
-"""Tests for bounded queues and the queue bank."""
+"""Tests for the per-core bounded queues of the queue bank."""
 
 import pickle
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.queues import BoundedQueue, QueueBank
+from repro.sim.queues import QueueBank
 
 
 class TestBoundedQueue:
+    """One core's FIFO, driven through the bank."""
+
     def test_fifo(self):
-        q = BoundedQueue(4)
+        bank = QueueBank(2, 4)
         for i in range(3):
-            assert q.offer(i)
-        assert [q.take() for _ in range(3)] == [0, 1, 2]
+            assert bank.offer(1, i)
+        assert bank.drain(1) == [0, 1, 2]
+        assert bank.drain(0) == []
 
     def test_capacity_enforced(self):
-        q = BoundedQueue(2)
-        assert q.offer(1) and q.offer(2)
-        assert not q.offer(3)
-        assert len(q) == 2
+        bank = QueueBank(1, 2)
+        assert bank.offer(0, 1) and bank.offer(0, 2)
+        assert not bank.offer(0, 3)
+        assert list(bank.items[0]) == [1, 2]
+        assert bank.occ == [2]
 
     def test_full_empty_flags(self):
-        q = BoundedQueue(1)
-        assert len(q) == 0
-        q.offer(1)
-        assert len(q) == q.capacity
-
-    def test_take_empty_raises(self):
-        with pytest.raises(IndexError):
-            BoundedQueue(1).take()
+        bank = QueueBank(1, 1)
+        assert bank.occ == [0] and not bank.items[0]
+        bank.offer(0, 1)
+        assert bank.occ == [bank.queue_capacity]
 
     def test_invalid_capacity(self):
-        with pytest.raises(ConfigError):
-            BoundedQueue(0)
+        with pytest.raises(ConfigError, match="capacity"):
+            QueueBank(2, 0)
 
     def test_clear(self):
-        q = BoundedQueue(4)
-        q.offer(1)
-        q.clear()
-        assert len(q) == 0
+        bank = QueueBank(1, 4)
+        bank.offer(0, 1)
+        assert bank.drain(0) == [1]
+        assert not bank.items[0] and bank.occ == [0]
 
 
 class TestQueueBank:
@@ -51,31 +51,31 @@ class TestQueueBank:
 
     def test_occupancy_tracks_queue(self):
         bank = QueueBank(2, 8)
-        bank[1].offer(7)
+        bank.offer(1, 7)
         assert bank.occ == [0, 1]
         assert bank.occupancies() == [0, 1]
 
     def test_down_core_reads_full_and_pickle_relinks(self):
+        """A down core reads full in ``occ`` (and refuses offers) while
+        its FIFO stays empty; an unpickled bank's writers keep its own
+        ``occ`` exact and leave the original's alone."""
         bank = QueueBank(2, 4)
         occ = bank.occ
-        bank[0].offer(1)
-        bank[0].offer(2)
-        assert bank[0].drain() == [1, 2]
+        bank.offer(0, 1)
+        bank.offer(0, 2)
         bank.mark_down(0)
-        assert not bank[0].offer(3)
+        assert bank.drain(0) == [1, 2]
+        assert not bank.offer(0, 3)
         assert occ == [4, 0]
         assert bank.occupancies() == [0, 0]
+        assert bank.cores_down() == [0]
         back = pickle.loads(pickle.dumps(bank))
-        assert back.occ == [4, 0]
+        assert back.occ == [4, 0] and back.down == [True, False]
         back.mark_up(0)
-        back[1].offer(5)
-        assert back.occ == [0, 1]
+        back.offer(1, 5)
+        assert back.occ == [0, 1] and back.cores_down() == []
         assert bank.occ is occ and occ == [4, 0]
 
     def test_invalid_size(self):
         with pytest.raises(ConfigError):
             QueueBank(0, 32)
-
-    def test_iteration(self):
-        bank = QueueBank(3, 4)
-        assert len(list(bank)) == 3

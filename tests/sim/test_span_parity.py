@@ -27,7 +27,6 @@ from repro.faults.injector import FaultInjector
 from repro.obs import TelemetryProbe
 from repro.obs.manifest import RunManifest
 from repro.sim import system
-from repro.sim.events import EventQueue
 from repro.sim.kernel import CHECKPOINT_VERSION, Checkpoint, SimKernel
 from repro.sim.reorder import ReorderDetector
 from repro.sim.system import simulate
@@ -206,7 +205,7 @@ def test_cross_path_checkpoint_resume(name, pair):
 
 def test_checkpoint_blob_holds_the_live_state():
     """The blob pickles exactly ``(SimState, scheduler, injector)``
-    with the event queue as it is, and taking it must not disturb the
+    with the event heap as it is, and taking it must not disturb the
     running kernel."""
     wl = _workload(4, None)
     kernel = SimKernel(_config(), _kernel_sched("hash-static"), wl)
@@ -216,8 +215,11 @@ def test_checkpoint_blob_holds_the_live_state():
     payload = pickle.loads(ckpt.blob)
     assert len(payload) == 3
     state, _sched, _inj = payload
-    assert isinstance(state.events, EventQueue)
-    assert state.events.entries() == kernel.state.events.entries()
+    live = kernel.state
+    assert state.heap == live.heap
+    assert (state.seq, state.last_pop_ns, state.popped) == (
+        live.seq, live.last_pop_ns, live.popped
+    )
     ref = simulate(wl, _kernel_sched("hash-static"), _config())
     assert kernel.run() == ref
 
@@ -229,11 +231,11 @@ def _fixture(version: int) -> dict:
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
-def test_committed_v6_checkpoint_resumes(vectorized):
-    """A committed v6 blob (faulted LAPS, paused at 400 us) loads and
+def test_committed_v7_checkpoint_resumes(vectorized):
+    """A committed v7 blob (faulted LAPS, paused at 400 us) loads and
     resumes to the report the uninterrupted run produced when the v4
     fixture was taken: the blob format changed, the outcome did not."""
-    saved = _fixture(6)
+    saved = _fixture(7)
     ckpt = Checkpoint.from_bytes(saved["checkpoint"])
     cfg = _config(record_departures=False)
     resumed = SimKernel.resume(ckpt, cfg, _workload(1, None),
@@ -241,13 +243,13 @@ def test_committed_v6_checkpoint_resumes(vectorized):
     assert resumed.run() == saved["report"]
 
 
-def test_committed_v5_checkpoint_is_refused():
-    """A v5 blob pickles a source cursor and an event snapshot v6 no
-    longer has, so loading it fails early with a typed error naming
-    both versions."""
-    raw = _fixture(5)["checkpoint"]
+def test_committed_v6_checkpoint_is_refused():
+    """A v6 blob pickles an ``EventQueue`` and ``BoundedQueue``
+    objects v7 no longer has, so loading it fails early with a typed
+    error naming both versions."""
+    raw = _fixture(6)["checkpoint"]
     with pytest.raises(
-        SimulationError, match=r"checkpoint version 5 unsupported \(expected 6\)"
+        SimulationError, match=r"checkpoint version 6 unsupported \(expected 7\)"
     ):
         Checkpoint.from_bytes(raw)
 
