@@ -494,7 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shard-workers", type=int, default=0, metavar="N",
-        help="worker processes per sharded run (0 = auto)",
+        help="processes per sharded run, the calling one included "
+             "(0 = auto)",
     )
     parser.add_argument(
         "--json", metavar="FILE", default="TOURNAMENT.json",

@@ -408,6 +408,13 @@ class FaultSchedule:
         out.sort(key=lambda e: e.time_ns)
         return out
 
+    def platform_schedule(self) -> "FaultSchedule | None":
+        """The schedule of this one's platform events (unexpanded), or
+        None when it has none: what a run's injector applies when the
+        traffic events are the workload's job."""
+        platform = [ev for ev in self._events if ev.kind == "platform"]
+        return FaultSchedule(platform) if platform else None
+
     def traffic_events(self) -> list[FaultEvent]:
         return [ev for ev in self._events if ev.kind == "traffic"]
 

@@ -195,9 +195,7 @@ def _run_comparison(args, workload, config, num_services, duration,
             workload = TrafficTransformSource(workload, schedule)
         else:
             workload = apply_traffic_events(workload, schedule)
-        platform = [ev for ev in schedule.events if ev.kind == "platform"]
-        if platform:
-            platform_schedule = FaultSchedule(platform)
+        platform_schedule = schedule.platform_schedule()
         print(f"[faults] {len(schedule)} events from {args.faults} "
               f"(drain policy: {args.drain_policy})\n")
 
@@ -208,7 +206,7 @@ def _run_comparison(args, workload, config, num_services, duration,
             if args.shard_window_us is not None else None
         )
         print(f"[shards] {args.shards} shards over "
-              f"{args.shard_workers or 'auto'} worker processes\n")
+              f"{args.shard_workers or 'auto'} processes\n")
         if schedule is not None:
             # resilience columns come from the telemetry series and
             # probes sample global state — n/a on sharded runs
@@ -357,14 +355,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     cmp_p.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="partition the system N ways across worker processes "
+        help="partition the system N ways across processes "
              "(static-map schedulers: bit-identical to single-process; "
              "laps: deterministic in seed/window/shards; see "
              "docs/architecture.md, Sharded execution)",
     )
     cmp_p.add_argument(
         "--shard-workers", type=int, default=0, metavar="N",
-        help="worker processes for --shards (0 = auto, REPRO_JOBS aware)",
+        help="processes that simulate --shards, this one included: 2 "
+             "spawns one worker, 1 runs every shard here (0 = auto, "
+             "REPRO_JOBS aware)",
     )
     cmp_p.add_argument(
         "--shard-window-us", type=float, default=None,

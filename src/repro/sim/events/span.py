@@ -50,10 +50,11 @@ one trigger *time* across cores; those groups are fixed up in trigger
 strictly earlier than the start it triggers (service times are
 positive), so its own rank is already final.
 
-**Egress booking.**  The span's departures and drops, merged into the
-scalar loop's accounting order, go to
-:meth:`~repro.sim.kernel.SimKernel._book` as one batch — the same
-booking the scalar loop's egress log settles through: counters,
+**Egress booking.**  The span's departures and drops go to
+:meth:`~repro.sim.kernel.SimKernel._book` as one batch — merged into
+the scalar loop's accounting order for the reorder detector, and as
+the two streams phase 2 built for the counters and records.  It is the
+same booking the scalar loop's egress log settles through: counters,
 latencies, records and one
 :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call, which
 ends in exactly the state the per-event ``on_depart``/``on_drop`` calls
@@ -70,6 +71,7 @@ from itertools import chain
 import numpy as np
 
 from repro.sim.events.backend import OUT_SLOTS, NumpyBackend
+from repro.util.sorting import stable_order
 
 __all__ = ["SpanDriver"]
 
@@ -241,7 +243,7 @@ class SpanDriver:
         # service order) ahead of its span rows (in arrival order): the
         # rows simulate_core takes.  Core c owns slots row_off[c] ..
         # row_off[c + 1]; its local row r is slot row_off[c] + r.
-        slot = np.argsort(all_core, kind="stable")
+        slot = stable_order((all_core,))
         row_off = np.searchsorted(all_core[slot], np.arange(n_cores + 1))
         s_lrow = np.concatenate([pre_lrow, np.arange(li, hi)])[slot]
         arr_l = arrival[s_lrow].tolist()  # prelude rows' are never read
@@ -348,13 +350,19 @@ class SpanDriver:
         # event seq), drops by arrival index), so one stable sort on
         # time merges them: it keeps each stream's order and puts
         # departures first at equal instants.
-        if n_dep_total or drop_lrow.size:
+        if drop_lrow.size:
             order = np.argsort(
                 np.concatenate([dep_fin, arrival[drop_lrow]]), kind="stable"
             )
             k._book(
-                np.concatenate([base + dep_lrow, ~(base + drop_lrow)])[order],
-                np.concatenate([dep_fin, drop_core])[order],
+                np.concatenate([dep_lrow, drop_lrow])[order],
+                order >= n_dep_total,
+                dep_lrow, dep_fin, drop_lrow, drop_core,
+            )
+        elif n_dep_total:
+            k._book(
+                dep_lrow, np.zeros(n_dep_total, dtype=bool),
+                dep_lrow, dep_fin, drop_lrow, drop_core,
             )
 
         # -- flow state ------------------------------------------------
@@ -481,7 +489,7 @@ class SpanDriver:
         # class 0 = queue-pop starts (complete_until runs before the
         # arrival dispatch at equal instants), class 1 = arrival starts
         # ordered by arrival index: g_kind is the class.
-        ord0 = np.lexsort((g_tie, g_kind, g_T))
+        ord0 = stable_order((g_tie, g_kind, g_T))
         rank = np.empty(n_started, dtype=np.int64)
         rank[ord0] = np.arange(n_started, dtype=np.int64)
         if n_started > 1:
@@ -529,5 +537,5 @@ class SpanDriver:
         # -- departures: each core's first n_dep entries, in pop order -
         dm = e_j < np.asarray(n_dep_c, dtype=np.int64)[e_core]
         dep_fin = e_fin[dm]
-        ord_dep = np.lexsort((e_seq[dm], dep_fin))
+        ord_dep = stable_order((e_seq[dm], dep_fin))
         return dep_fin[ord_dep], e_lrow[dm][ord_dep], n_started, last_seq

@@ -757,48 +757,52 @@ class SimKernel:
             return
         rows = np.fromiter(log, np.int64, len(log)).reshape(-1, 2)
         log.clear()
-        self._book(rows[:, 0], rows[:, 1])
+        key, val = rows[:, 0], rows[:, 1]
+        drop = key < 0
+        li = np.where(drop, ~key, key) - self.window.base
+        if drop.any():
+            dep = ~drop
+            self._book(li, drop, li[dep], val[dep], li[drop], val[drop])
+        else:
+            self._book(li, drop, li, val, li[:0], val[:0])
 
-    def _book(self, key: np.ndarray, val: np.ndarray) -> None:
-        """Book a non-empty run of egress events, in accounting order.
+    def _book(self, li, drop, dep_li, dep_t, drop_li, drop_core) -> None:
+        """Book a non-empty run of egress events.
 
-        A departure is ``key = pkt, val = depart_ns``, a drop ``key =
-        ~pkt, val =`` the core it was offered to (global packet indices
-        in the live window).  Booking is one
-        :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call,
-        latencies as one vector subtraction, the departure and drop
-        counters, and the departure/drop records when they are
+        ``li`` holds the events' rows in the live window in accounting
+        order and ``drop`` marks the drops among them; ``dep_li`` and
+        ``dep_t`` are the departures' rows and instants, ``drop_li`` and
+        ``drop_core`` the drops' rows and the cores they were offered
+        to, each stream in its order within ``li``.  Booking is one
+        :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call
+        over ``li``, latencies as one vector subtraction, the departure
+        and drop counters, and the departure/drop records when they are
         recorded; the result equals per-event bookkeeping field for
         field.  The scalar loop's :meth:`_settle` and the span commit
         both book through here.
         """
         st = self.state
         win = self.window
-        base = win.base
         m = st.metrics
-        drop = key < 0
-        li = np.where(drop, ~key, key) - base
-        flow = win.flow_id[li]
-        seq = win.seq[li]
-        st.reorder.account_batch(flow, seq, drop)
+        flow_col = win.flow_id
+        seq_col = win.seq
+        st.reorder.account_batch(flow_col[li], seq_col[li], drop)
         record = self.config.record_departures
-        n_drop = int(np.count_nonzero(drop))
-        if n_drop < li.size:
-            if n_drop:
-                dep = ~drop
-                t_dep, dep_li, dep_flow, dep_seq = val[dep], li[dep], flow[dep], seq[dep]
-            else:
-                t_dep, dep_li, dep_flow, dep_seq = val, li, flow, seq
-            m.departed += int(t_dep.size)
-            m.last_depart_ns = int(t_dep[-1])
+        if dep_t.size:
+            m.departed += int(dep_t.size)
+            m.last_depart_ns = int(dep_t[-1])
             if self.config.collect_latencies:
-                m.latencies_ns.extend((t_dep - win.arrival_ns[dep_li]).tolist())
+                m.latencies_ns.extend((dep_t - win.arrival_ns[dep_li]).tolist())
             if record:
                 st.departures.extend(
-                    zip(dep_flow.tolist(), dep_seq.tolist(), t_dep.tolist())
+                    zip(
+                        flow_col[dep_li].tolist(),
+                        seq_col[dep_li].tolist(),
+                        dep_t.tolist(),
+                    )
                 )
+        n_drop = int(drop_li.size)
         if n_drop:
-            drop_li = li[drop]
             m.dropped += n_drop
             dps = m.dropped_per_service
             counts = np.bincount(win.service_id[drop_li], minlength=len(dps))
@@ -807,12 +811,12 @@ class SimKernel:
                     dps[sid] += n
             down = st.queues.cores_down()
             if down:  # offered to a dead core's queue: a fault drop
-                m.fault_dropped += int(np.count_nonzero(np.isin(val[drop], down)))
+                m.fault_dropped += int(np.count_nonzero(np.isin(drop_core, down)))
             if record:
                 st.drop_records.extend(
                     zip(
-                        flow[drop].tolist(),
-                        seq[drop].tolist(),
+                        flow_col[drop_li].tolist(),
+                        seq_col[drop_li].tolist(),
                         win.arrival_ns[drop_li].tolist(),
                     )
                 )

@@ -22,20 +22,13 @@ from itertools import chain
 
 import numpy as np
 
+from repro.util.sorting import stable_order
+
 __all__ = ["ReorderDetector"]
 
-
-def _flow_seq_order(flow: np.ndarray, seq: np.ndarray) -> np.ndarray:
-    """Indices that sort rows by (flow, seq), rows with equal pairs in
-    no particular order: one ``argsort`` over both keys packed into an
-    int64 when their ranges fit (several times faster than
-    ``lexsort``, which takes the wider ones)."""
-    lo_flow = int(flow.min())
-    lo_seq = int(seq.min())
-    bits = (int(seq.max()) - lo_seq).bit_length()
-    if (int(flow.max()) - lo_flow).bit_length() + bits > 62:
-        return np.lexsort((seq, flow))
-    return np.argsort(((flow - lo_flow) << bits) | (seq - lo_seq))
+#: widest flow-id range (bytes of boolean table) a batch's pending-flow
+#: lookup tabulates; wider batches take isin's sort
+_TABLE_RANGE = 1 << 22
 
 
 class ReorderDetector:
@@ -116,8 +109,11 @@ class ReorderDetector:
         pending = self._pending
         folded: list[int] = []
         if pending:
+            # a boolean table over the batch's flow ids: for a range
+            # sparse next to the batch, isin's default sorts every row
             keys = np.fromiter(pending, dtype=np.int64, count=len(pending))
-            folded = keys[np.isin(keys, flow)].tolist()
+            dense = int(flow.max()) - int(flow.min()) < _TABLE_RANGE
+            folded = keys[np.isin(keys, flow, kind="table" if dense else None)].tolist()
         if folded:
             sets = [pending[f] for f in folded]
             sizes = [len(s) for s in sets]
@@ -128,7 +124,7 @@ class ReorderDetector:
             )
             pos = np.concatenate([pos, np.zeros(n_fold, dtype=np.int64)])
             dep = np.concatenate([dep, np.zeros(n_fold, dtype=bool)])
-        order = _flow_seq_order(flow, seqs)
+        order = stable_order((seqs, flow))
         f = flow[order]
         s = seqs[order]
         m = int(f.size)

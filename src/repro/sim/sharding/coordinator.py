@@ -2,11 +2,15 @@
 persistent worker pool.
 
 :func:`run_sharded` cuts the system with :func:`~repro.sim.sharding.
-topology.plan_topology`, ships one picklable
-:class:`~repro.sim.sharding.shard.ShardSpec` per shard to a sticky
-worker slot (shard state *lives in the worker* between calls — every
-window goes back to the process holding the kernel), drives the
-mode-appropriate protocol, and merges the per-shard results exactly.
+topology.plan_topology`, builds one
+:class:`~repro.sim.sharding.shard.ShardSpec` per shard, keeps the
+shards whose turn falls on the calling process and ships the rest,
+pickled, to sticky worker slots (shard state *lives in its process*
+between calls — every window goes back to the process holding the
+kernel), drives the mode-appropriate protocol, and merges the
+per-shard results exactly.  The caller is one of the processes that
+simulate: it sends every worker its barrier message, runs its own
+shards, then collects the replies.
 
 **Cores mode** needs a single barrier: shards share no state at all, so
 each dispatches every arrival independently (``run_arrivals``), the
@@ -65,74 +69,93 @@ _TOKENS = itertools.count()
 
 
 # ----------------------------------------------------------------------
-# worker-side entry points (module-level: they must pickle by name).
-# A worker keeps its shards in this registry between calls; entries of
+# worker-side entry point (module-level: it must pickle by name).  A
+# worker keeps its shards in this registry between calls; entries of
 # an older run are evicted the first time a new run builds into it.
 # ----------------------------------------------------------------------
 _RESIDENT: dict[tuple[str, int], Shard] = {}
 
 
-def _w_build(arg) -> int:
-    token, spec = arg
-    for key in [k for k in _RESIDENT if k[0] != token]:
-        del _RESIDENT[key]
-    _RESIDENT[(token, spec.shard_id)] = Shard(spec)
-    return spec.shard_id
-
-
-def _w_call(arg):
-    token, shard_id, method, payload = arg
-    shard = _RESIDENT.get((token, shard_id))
-    if shard is None:
-        raise SimulationError(
-            f"shard {shard_id} is not resident in this worker — the "
-            "pool was resized or restarted mid-run"
-        )
-    return getattr(shard, method)(payload)
+def _w_call(arg) -> list:
+    """One barrier on one worker: build the shards *specs* names (the
+    run's first barrier only), then run *method* on each shard this
+    worker holds, in shard order."""
+    token, specs, method, payloads = arg
+    if specs:
+        for key in [k for k in _RESIDENT if k[0] != token]:
+            del _RESIDENT[key]
+        for spec in specs:
+            _RESIDENT[(token, spec.shard_id)] = Shard(spec)
+    out = []
+    for shard_id, payload in payloads:
+        shard = _RESIDENT.get((token, shard_id))
+        if shard is None:
+            raise SimulationError(
+                f"shard {shard_id} is not resident in this worker — the "
+                "pool was resized or restarted mid-run"
+            )
+        out.append(getattr(shard, method)(payload))
+    return out
 
 
 # ----------------------------------------------------------------------
-class _InlineBackend:
-    """All shards in this process (workers=1, or nested in a pool
-    worker, where spawning children is impossible)."""
+class _Backend:
+    """Where the shards live, over *processes* simulating processes.
 
-    def __init__(self, specs: list[ShardSpec]) -> None:
-        self._specs = specs
-        self._shards: list[Shard] = []
+    The calling process counts as one of them: shard ``k`` runs in it
+    when ``k % processes == 0`` and on pool slot ``k % processes - 1``
+    otherwise — the sticky routing :meth:`ProcessPool.scatter`
+    guarantees is what keeps every barrier call landing on the process
+    that holds the shard's kernel.  With one process (``workers=1``, or
+    nested in a pool worker, where spawning children is impossible)
+    every shard is the caller's and no pool is used.
 
-    def build(self) -> None:
-        self._shards = [Shard(s) for s in self._specs]
+    At each barrier the caller sends every slot one message carrying
+    all of that slot's shards, simulates its own shards, then collects
+    the replies.  The first barrier also builds the shards — the specs
+    ride in its messages — so no process waits on another's build.
+    """
 
-    def call_all(self, method: str, payloads: list) -> list:
-        return [
-            getattr(shard, method)(p)
-            for shard, p in zip(self._shards, payloads)
-        ]
-
-
-class _PoolBackend:
-    """Shards resident in persistent pool workers, slot ``shard_id %
-    workers`` — the sticky routing :meth:`ProcessPool.scatter`
-    guarantees is what keeps every window call landing on the process
-    that holds the shard's kernel."""
-
-    def __init__(self, specs: list[ShardSpec], workers: int) -> None:
-        self._specs = specs
-        self._pool = shared_pool(workers)
+    def __init__(self, specs: list[ShardSpec], processes: int) -> None:
+        self._local = [s for s in specs if s.shard_id % processes == 0]
+        self._remote: dict[int, list[ShardSpec]] = {}
+        for s in specs:
+            if s.shard_id % processes:
+                self._remote.setdefault(s.shard_id % processes - 1, []).append(s)
+        self._pool = shared_pool(processes - 1) if self._remote else None
         self._token = f"{os.getpid()}:{next(_TOKENS)}"
-
-    def build(self) -> None:
-        self._pool.scatter(
-            [(s.shard_id, _w_build, (self._token, s)) for s in self._specs]
-        )
+        self._shards: list[Shard] | None = None
 
     def call_all(self, method: str, payloads: list) -> list:
-        return self._pool.scatter(
+        """``shard.method(payloads[k])`` on every shard ``k``; the
+        results in shard order."""
+        out: list = [None] * len(payloads)
+        first = self._shards is None
+
+        def local() -> None:
+            if first:
+                self._shards = [Shard(s) for s in self._local]
+            for shard in self._shards:
+                k = shard.spec.shard_id
+                out[k] = getattr(shard, method)(payloads[k])
+
+        if self._pool is None:
+            local()
+            return out
+        replies = self._pool.scatter(
             [
-                (s.shard_id, _w_call, (self._token, s.shard_id, method, p))
-                for s, p in zip(self._specs, payloads)
-            ]
+                (slot, _w_call, (
+                    self._token, specs if first else None, method,
+                    [(s.shard_id, payloads[s.shard_id]) for s in specs],
+                ))
+                for slot, specs in self._remote.items()
+            ],
+            local=local,
         )
+        for specs, reply in zip(self._remote.values(), replies):
+            for s, value in zip(specs, reply):
+                out[s.shard_id] = value
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +211,7 @@ def sharded_fault_args(injector) -> tuple[FaultSchedule | None, str]:
     """
     if injector is None:
         return None, "drop"
-    platform = [ev for ev in injector.schedule.events if ev.kind == "platform"]
-    return (FaultSchedule(platform) if platform else None), injector.drain_policy
+    return injector.schedule.platform_schedule(), injector.drain_policy
 
 
 def run_sharded(
@@ -205,11 +227,16 @@ def run_sharded(
     vectorized: bool = True,
     source_fingerprint: str | None = None,
 ) -> ShardedRun:
-    """Run one simulation sharded *shards* ways across worker processes.
+    """Run one simulation sharded *shards* ways across processes.
 
-    *workers* bounds the process count (0 = ``default_jobs()``, itself
-    overridable with ``REPRO_JOBS``); shards beyond the worker count
-    time-share slots.  The outcome is worker-count independent: cores
+    *workers* bounds the number of processes that simulate, the calling
+    process included (0 = ``default_jobs()``, itself overridable with
+    ``REPRO_JOBS``): with ``P = min(workers, shards)``, shard ``k`` runs
+    in the caller when ``k % P == 0`` and in spawned pool worker
+    ``k % P - 1`` otherwise, so ``workers=2`` spawns one worker and
+    ``workers=1`` (or any call made inside a pool worker) runs every
+    shard inline.  Shards beyond ``P`` time-share the processes.  The
+    outcome is worker-count independent: cores
     mode is bit-identical to ``simulate()`` for any shard count, and
     services mode is a deterministic function of (workload seed,
     *window_ns*, *shards*).
@@ -260,15 +287,13 @@ def run_sharded(
         traffic = schedule.traffic_events()
         if traffic:
             inner = TrafficTransformSource(inner, FaultSchedule(traffic))
-        platform = [ev for ev in schedule.events if ev.kind == "platform"]
-        if platform:
-            if drain_policy != "drop":
-                raise ConfigError(
-                    "sharded runs with platform fault events require "
-                    "drain_policy='drop': the reassign policy re-routes "
-                    "a failed core's queue across the partition"
-                )
-            platform_schedule = FaultSchedule(platform)
+        platform_schedule = schedule.platform_schedule()
+        if platform_schedule is not None and drain_policy != "drop":
+            raise ConfigError(
+                "sharded runs with platform fault events require "
+                "drain_policy='drop': the reassign policy re-routes "
+                "a failed core's queue across the partition"
+            )
 
     mode = _select_mode(scheduler)
     window = window_ns if window_ns is not None else DEFAULT_WINDOW_NS
@@ -327,14 +352,10 @@ def run_sharded(
             )
         )
 
-    n_workers = workers if workers > 0 else default_jobs()
-    n_workers = min(n_workers, shards)
-    if n_workers <= 1 or in_pool_worker():
+    n_workers = min(workers if workers > 0 else default_jobs(), shards)
+    if in_pool_worker():
         n_workers = 1
-        backend = _InlineBackend(specs)
-    else:
-        backend = _PoolBackend(specs, n_workers)
-    backend.build()
+    backend = _Backend(specs, n_workers)
 
     grants: list[CoreGrant] = []
     windows_run = 0

@@ -29,7 +29,8 @@ Bit-identity rests on three invariants (each pinned by tests):
    ``build_workload``.
 3. *Incremental sequence numbers* — per-flow counters assign each
    released batch the same 0-based sequences the global
-   ``_per_flow_sequences`` pass would.
+   ``_per_flow_sequences`` pass would (both are
+   :func:`~repro.sim.workload.next_sequences`).
 
 Sources are cursors: ``next_chunk()`` consumes.  ``clone()`` returns a
 fresh, unconsumed source of the same spec (cheap — the kernel clones
@@ -50,7 +51,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.hashing.crc import CRC16_CCITT, CRCSpec
 from repro.sim.generator import ArrivalStream, HoltWintersParams, build_rate_model
-from repro.sim.workload import Workload, service_flow_hashes
+from repro.sim.workload import Workload, next_sequences, service_flow_hashes
 from repro.trace.trace import Trace
 from repro.util.rng import spawn_rngs
 
@@ -494,42 +495,24 @@ class StreamingSource(PacketSource):
         if not parts:
             return
         if len(parts) == 1:
+            # one service's prefix is already in time order
             arrival, service, flow, size, fhash = parts[0]
         else:
             arrival, service, flow, size, fhash = (
                 np.concatenate([p[i] for p in parts]) for i in range(5)
             )
-        # per-service prefixes concatenated in service order + stable
-        # argsort == build_workload's global tie-break
-        order = np.argsort(arrival, kind="stable")
-        arrival = arrival[order]
-        service = service[order]
-        flow = flow[order]
-        size = size[order].astype(np.int32, copy=False)
-        fhash = fhash[order]
-        self._out.push(
-            (arrival, service, flow, size, fhash, self._next_sequences(flow))
-        )
-
-    def _next_sequences(self, flow: np.ndarray) -> np.ndarray:
-        """Per-flow 0-based sequence numbers continuing the global
-        count (incremental ``_per_flow_sequences``)."""
-        n = flow.shape[0]
-        counters = self._seq_next
-        order = np.argsort(flow, kind="stable")
-        sorted_flow = flow[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_flow[1:] != sorted_flow[:-1]
-        starts = np.flatnonzero(first)
-        run_lens = np.diff(np.append(starts, n))
-        within = np.arange(n, dtype=np.int64) - np.repeat(starts, run_lens)
-        run_flows = sorted_flow[starts]
-        bases = counters[run_flows]
-        counters[run_flows] = bases + run_lens
-        seq = np.empty(n, dtype=np.int64)
-        seq[order] = np.repeat(bases, run_lens) + within
-        return seq
+            # per-service prefixes concatenated in service order + stable
+            # argsort == build_workload's global tie-break
+            order = np.argsort(arrival, kind="stable")
+            arrival = arrival[order]
+            service = service[order]
+            flow = flow[order]
+            size = size[order]
+            fhash = fhash[order]
+        self._out.push((
+            arrival, service, flow, size.astype(np.int32, copy=False), fhash,
+            next_sequences(flow, self._seq_next),
+        ))
 
     def _emit(self, n: int) -> WorkloadChunk:
         cols = self._out.take(n)

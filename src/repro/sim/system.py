@@ -67,8 +67,9 @@ def simulate(
     :class:`~repro.errors.ConfigError`.
 
     ``shards`` ≥ 2 delegates to :func:`repro.sim.sharding.run_sharded`:
-    the system is partitioned and run over ``shard_workers`` processes
-    (0 = auto), merging per-shard reports exactly — bit-identical for
+    the system is partitioned and run over ``shard_workers`` processes,
+    this one included (0 = auto; 2 spawns one worker, 1 runs every
+    shard here), merging per-shard reports exactly — bit-identical for
     static-map schedulers, deterministic in (seed, window, shards) for
     LAPS.  Matching single-process semantics, only the injector's
     *platform* events ride along (traffic events are always the

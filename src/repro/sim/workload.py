@@ -25,6 +25,7 @@ from repro.hashing.five_tuple import flow_hash_batch
 from repro.sim.generator import HoltWintersParams, arrival_times, build_rate_model
 from repro.trace.trace import Trace
 from repro.util.rng import spawn_rngs
+from repro.util.sorting import stable_order
 
 __all__ = ["Workload", "build_workload", "service_flow_hashes"]
 
@@ -112,23 +113,41 @@ class Workload:
         )
 
 
-def _per_flow_sequences(flow_id: np.ndarray, num_flows: int) -> np.ndarray:
-    """Vectorised per-flow 0-based sequence numbers in arrival order.
+def next_sequences(flow: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Per-flow 0-based sequence numbers in arrival order, continuing
+    *counters* (indexed by flow id, advanced in place):
+    ``seq[i] = counters[f] + #{j < i : flow[j] == f}`` for ``f =
+    flow[i]``.
 
-    ``seq[i] = #{j < i : flow_id[j] == flow_id[i]}`` — computed by
-    sorting packet indices by (flow, position) and subtracting each
-    group's start offset.
+    The packets are put in (flow, position) order by one exact sort
+    (:func:`~repro.util.sorting.stable_order`); each flow's run then
+    counts up from its counter.  Streamed sources number each released
+    batch with their running counters; a whole workload starts from
+    zeros (:func:`_per_flow_sequences`).
     """
-    n = flow_id.shape[0]
+    n = flow.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(flow_id, kind="stable")  # stable keeps arrival order
-    counts = np.bincount(flow_id, minlength=num_flows)
-    group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(n, dtype=np.int64) - np.repeat(group_starts, counts)
+    order = stable_order((flow,))
+    sorted_flow = flow[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_flow[1:], sorted_flow[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    run_lens = np.diff(np.append(starts, n))
+    within = np.arange(n, dtype=np.int64) - np.repeat(starts, run_lens)
+    run_flows = sorted_flow[starts]
+    bases = counters[run_flows]
+    counters[run_flows] = bases + run_lens
     seq = np.empty(n, dtype=np.int64)
-    seq[order] = within
+    seq[order] = np.repeat(bases, run_lens) + within
     return seq
+
+
+def _per_flow_sequences(flow_id: np.ndarray, num_flows: int) -> np.ndarray:
+    """A whole workload's per-flow sequence numbers:
+    ``seq[i] = #{j < i : flow_id[j] == flow_id[i]}``."""
+    return next_sequences(flow_id, np.zeros(num_flows, dtype=np.int64))
 
 
 def service_flow_hashes(trace: Trace, hash_spec: CRCSpec = CRC16_CCITT) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import threading
 from collections import deque
 from multiprocessing import connection as mpconn
 from typing import Any, Callable, Iterable, TypeVar
@@ -154,13 +155,14 @@ class _Worker:
 class ProcessPool:
     """A persistent, index-addressable pool of spawn-context workers.
 
-    Workers are spawned lazily (slot by slot, on first use) and persist
-    until :meth:`shutdown` — submitting ten batches costs ten pipe
-    round-trips per worker, not ten process launches.  ``call(i, ...)``
-    always lands on worker slot ``i % size``, which gives callers a
-    *sticky* address: module-level state a task leaves behind in its
-    worker (the sharded coordinator's resident shards) is reachable by
-    every later task routed to the same slot.
+    Workers are spawned lazily (a batch starts every slot it uses that
+    is not up yet) and persist until :meth:`shutdown` — submitting ten
+    batches costs ten pipe round-trips per worker, not ten process
+    launches.  ``call(i, ...)`` always lands on worker slot
+    ``i % size``, which gives callers a *sticky* address: module-level
+    state a task leaves behind in its worker (the sharded
+    coordinator's resident shards) is reachable by every later task
+    routed to the same slot.
     """
 
     def __init__(self, workers: int) -> None:
@@ -209,32 +211,58 @@ class ProcessPool:
         w.conn.send((fn, item))
         return self._recv(w)
 
-    def scatter(self, calls: list[tuple[int, Callable, Any]]) -> list:
+    def scatter(
+        self,
+        calls: list[tuple[int, Callable, Any]],
+        local: Callable[[], None] | None = None,
+    ) -> list:
         """Run ``(slot_index, fn, item)`` tasks concurrently.
 
         Tasks routed to the same slot run sequentially in submission
         order (a slot is one process); distinct slots run in parallel.
-        Results return in ``calls`` order.  The first task failure is
-        re-raised after every in-flight task has been collected, so the
-        pool's pipes stay clean for the next batch.
+        Every slot the calls use is started before the first task is
+        sent, and each slot's first task is sent on a thread of its own:
+        a send blocks until its worker has booted and read the whole
+        payload, so no slot waits on another slot's boot.
+
+        *local*, when given, runs in the calling process while the first
+        tasks are in flight.  Results return in ``calls`` order.  The
+        first failure — *local*'s own exception, else the first task's
+        — is re-raised after every in-flight task has been collected,
+        so the pool's pipes stay clean for the next batch.
         """
         results: list[Any] = [None] * len(calls)
         queues: dict[int, deque[int]] = {}
         for i, (index, _fn, _item) in enumerate(calls):
             queues.setdefault(index % self.size, deque()).append(i)
+        workers = {slot: self._worker(slot) for slot in queues}
         inflight: dict[Any, tuple[int, int]] = {}  # conn -> (slot, call idx)
-        first_error: BaseException | None = None
+        errors: list[BaseException] = []  # local's first, then as they come
 
-        def dispatch(slot: int) -> None:
-            if queues[slot] and first_error is None:
-                i = queues[slot].popleft()
-                w = self._worker(slot)
-                _, fn, item = calls[i]
-                w.conn.send((fn, item))
-                inflight[w.conn] = (slot, i)
+        def send(slot: int, i: int) -> None:
+            _, fn, item = calls[i]
+            try:
+                workers[slot].conn.send((fn, item))
+            except OSError:
+                pass  # the worker died: collecting its reply says so
+            except Exception as exc:  # noqa: BLE001 — e.g. an unpicklable item
+                errors.append(exc)  # pickling failed before any byte went out
+                return
+            inflight[workers[slot].conn] = (slot, i)
 
-        for slot in list(queues):
-            dispatch(slot)
+        senders = [
+            threading.Thread(target=send, args=(slot, q.popleft()), daemon=True)
+            for slot, q in queues.items()
+        ]
+        for t in senders:
+            t.start()
+        if local is not None:
+            try:
+                local()
+            except Exception as exc:  # noqa: BLE001 — drain the pool first
+                errors.insert(0, exc)
+        for t in senders:
+            t.join()
         while inflight:
             for conn in mpconn.wait(list(inflight)):
                 slot, i = inflight.pop(conn)
@@ -245,13 +273,13 @@ class ProcessPool:
                         "pool worker died mid-task (killed or crashed hard)"
                     )
                 if kind == "err":
-                    if first_error is None:
-                        first_error = value
+                    errors.append(value)
                 else:
                     results[i] = value
-                dispatch(slot)
-        if first_error is not None:
-            raise first_error
+                if queues[slot] and not errors:
+                    send(slot, queues[slot].popleft())
+        if errors:
+            raise errors[0]
         return results
 
     def map(

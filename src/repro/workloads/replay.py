@@ -34,6 +34,7 @@ from repro.errors import ConfigError
 from repro.hashing.crc import CRC16_CCITT, CRCSpec
 from repro.hashing.five_tuple import FiveTuple, flow_hash_batch
 from repro.sim.source import DEFAULT_CHUNK_SIZE, PacketSource, WorkloadChunk
+from repro.sim.workload import next_sequences
 from repro.trace.pcap import iter_pcap, new_counters
 
 __all__ = ["PcapReplaySource"]
@@ -189,7 +190,7 @@ class PcapReplaySource(PacketSource):
         fid_arr = np.asarray(fids, dtype=np.int64)
         # same elementwise rounding as cumsum(gaps)/speedup -> int64
         arrival = (np.asarray(cum, dtype=np.int64) / self.speedup).astype(np.int64)
-        seq = self._next_sequences(fid_arr)
+        seq = next_sequences(fid_arr, self._seq_next)
         chunk = WorkloadChunk(
             self._emitted,
             arrival,
@@ -201,29 +202,6 @@ class PcapReplaySource(PacketSource):
         )
         self._emitted += got
         return chunk
-
-    def _next_sequences(self, flow: np.ndarray) -> np.ndarray:
-        """Per-flow 0-based sequence numbers continuing the global count
-        (the incremental ``_per_flow_sequences`` idiom shared with
-        :class:`~repro.sim.source.StreamingSource`)."""
-        n = flow.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        counters = self._seq_next
-        order = np.argsort(flow, kind="stable")
-        sorted_flow = flow[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_flow[1:] != sorted_flow[:-1]
-        starts = np.flatnonzero(first)
-        run_lens = np.diff(np.append(starts, n))
-        within = np.arange(n, dtype=np.int64) - np.repeat(starts, run_lens)
-        run_flows = sorted_flow[starts]
-        bases = counters[run_flows]
-        counters[run_flows] = bases + run_lens
-        seq = np.empty(n, dtype=np.int64)
-        seq[order] = np.repeat(bases, run_lens) + within
-        return seq
 
     def clone(self) -> "PcapReplaySource":
         return PcapReplaySource(

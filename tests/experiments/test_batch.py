@@ -1,7 +1,6 @@
 """Tests for the batched multi-run executor."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.batch import BatchRun, RunSpec, WorkloadSpec, run_batch
 from repro.net.service import Service, ServiceSet

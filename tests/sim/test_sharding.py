@@ -108,10 +108,40 @@ class TestCoresBitIdentity:
         assert run.report == base
 
     def test_multiprocess_equals_inline(self, workload, config, baseline_hash):
+        # the caller simulates the shards k % workers == 0: with more
+        # shards than processes it holds two of them
+        for shards in (2, 3, 4):
+            for workers in (2, 3):
+                run = run_sharded(
+                    workload, StaticHashScheduler(), config,
+                    shards=shards, workers=workers,
+                )
+                assert run.workers == min(shards, workers)
+                assert run.report == baseline_hash, (shards, workers)
+
+    def test_caller_shard_error_leaves_the_pool_usable(
+        self, workload, config, baseline_hash, monkeypatch
+    ):
+        from repro.sim.sharding import shard as shard_mod
+        from repro.util.parallel import shared_pool
+
+        def fail(self, _arg=None):
+            raise RuntimeError("caller shard failed")
+
+        pool = shared_pool(1)
+        with monkeypatch.context() as patch:
+            # patched in this process only: the worker's shard runs on,
+            # its reply in flight when the caller's shard raises
+            patch.setattr(shard_mod.Shard, "run_arrivals", fail)
+            with pytest.raises(RuntimeError, match="caller shard failed"):
+                run_sharded(
+                    workload, StaticHashScheduler(), config,
+                    shards=2, workers=2,
+                )
+        assert shared_pool(1) is pool
         run = run_sharded(
             workload, StaticHashScheduler(), config, shards=2, workers=2,
         )
-        assert run.workers == 2
         assert run.report == baseline_hash
 
     def test_streamed_source_matches_materialized(
@@ -170,13 +200,18 @@ class TestServicesMode:
         return LAPSScheduler(LAPSConfig(num_services=4))
 
     def test_worker_count_never_changes_the_report(self, workload, config):
-        a = run_sharded(workload, self._laps(), config, shards=2,
-                        workers=1, window_ns=units.us(200))
-        b = run_sharded(workload, self._laps(), config, shards=2,
-                        workers=2, window_ns=units.us(200))
-        assert a.report == b.report
+        # four shards over one, two and three processes: the caller
+        # holds shards {0..3}, {0, 2} and {0, 3}
+        a, b, c = (
+            run_sharded(workload, self._laps(), config, shards=4,
+                        workers=w, window_ns=units.us(200))
+            for w in (1, 2, 3)
+        )
+        assert (a.workers, b.workers, c.workers) == (1, 2, 3)
+        assert a.report == b.report == c.report
+        assert a.grants == b.grants == c.grants
         assert a.topology.mode == "services"
-        assert a.windows == b.windows > 0
+        assert a.windows == b.windows == c.windows > 0
 
     def test_cross_shard_donation(self, services, trace, config):
         # shard 0 = services {0, 1} both saturated, shard 1 = services

@@ -184,6 +184,64 @@ class TestProcessPool:
         assert b.size == a.size + 1
 
 
+class TestScatterStarts:
+    def test_every_slot_starts_before_the_first_send(self, monkeypatch):
+        # a send blocks until its worker has booted and read the whole
+        # payload (4 MiB is far past a pipe buffer): a slot started after
+        # that send would wait out another slot's boot
+        from multiprocessing.connection import Connection
+
+        events = []
+        start = ProcessPool._worker
+        send = Connection.send
+
+        def logged_start(pool, slot):
+            if pool._slots[slot] is None:
+                events.append(f"start {slot}")
+            return start(pool, slot)
+
+        def logged_send(conn, obj):
+            events.append("send")
+            return send(conn, obj)
+
+        monkeypatch.setattr(ProcessPool, "_worker", logged_start)
+        monkeypatch.setattr(Connection, "send", logged_send)
+        payload = bytes(4 << 20)
+        with ProcessPool(2) as pool:
+            got = pool.scatter([(0, len, payload), (1, len, payload)])
+        assert got == [4 << 20, 4 << 20]
+        first_send = events.index("send")
+        assert sorted(events[:first_send]) == ["start 0", "start 1"]
+
+    def test_local_work_runs_while_tasks_are_in_flight(self):
+        ran = []
+        with ProcessPool(2) as pool:
+            got = pool.scatter(
+                [(0, square, 3), (1, square, 4)], local=lambda: ran.append(1)
+            )
+        assert got == [9, 16]
+        assert ran == [1]
+
+    def test_local_error_is_raised_after_the_pool_drains(self):
+        def local():
+            raise KeyError("local shard")
+
+        with ProcessPool(2) as pool:
+            with pytest.raises(KeyError, match="local shard"):
+                pool.scatter([(0, pid_of, 0), (1, pid_of, 1)], local=local)
+            # both replies were collected: the next batch reads its own
+            assert pool.map(square, [5, 6]) == [25, 36]
+
+
+    def test_unpicklable_item_is_raised_after_the_pool_drains(self):
+        import pickle
+
+        with ProcessPool(2) as pool:
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                pool.scatter([(0, square, 2), (1, square, lambda: 0)])
+            assert pool.map(square, [5, 6]) == [25, 36]
+
+
 class TestExperimentsIntegration:
     def test_fig7_jobs_matches_serial(self):
         from repro.experiments import fig7
