@@ -20,7 +20,10 @@ where ``/proc`` is unavailable.  Assertions:
   generous fixed ceiling over the interpreter baseline;
 * the span drain (the default path) bounds its working set: a streamed
   run peaks within a few MiB of its ``vectorized=False`` scalar-oracle
-  twin.
+  twin;
+* latency samples are kept as int64 chunks: at the large size,
+  ``collect_latencies=True`` adds at most ``_LATENCY_B_PER_SAMPLE``
+  bytes per departed packet to a streamed run's peak.
 
 The same harness covers pcap replay:
 :class:`repro.workloads.replay.PcapReplaySource` re-streams the capture
@@ -58,6 +61,11 @@ _CEILING_MB = 160.0
 #: this guards against adds ~14 MiB here, the 16 Ki-row cap < 1 MiB.
 _SPAN_PACKETS = 200_000
 _SPAN_SLACK_MB = 8.0
+#: peak-RSS bytes a collected latency sample may cost.  At the quick
+#: large size a sample kept in int64 chunks measured ~26 B of peak, one
+#: kept as a Python int in a list ~47 B, so a fall-back to per-sample
+#: ints fails the bound
+_LATENCY_B_PER_SAMPLE = 32
 
 _CHILD = r"""
 import sys
@@ -74,6 +82,7 @@ def peak_rss_kib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 mode, n_packets = sys.argv[1], int(sys.argv[2])
+departed = 0
 from repro import units
 from repro.net.service import Service, ServiceSet
 from repro.schedulers.hash_static import StaticHashScheduler
@@ -112,17 +121,24 @@ elif mode != "baseline":
     config = SimConfig(
         num_cores=16,
         services=ServiceSet([Service(0, "ip-forward", units.us(1))]),
-        collect_latencies=False,
+        collect_latencies=mode == "streamed-latencies",
     )
     report = simulate(workload, StaticHashScheduler(), config,
                       vectorized=mode != "streamed-scalar")
     assert report.generated >= n_packets // 2, report.generated
-print(peak_rss_kib())
+    departed = report.departed
+print(peak_rss_kib(), departed)
 """
 
 
 def _peak_rss_mb(mode: str, n_packets: int = 0) -> float:
     """Peak RSS in MiB of one fresh-subprocess simulation."""
+    return _run_child(mode, n_packets)[0]
+
+
+def _run_child(mode: str, n_packets: int) -> tuple[float, int]:
+    """Peak RSS in MiB and packets departed of one fresh-subprocess
+    simulation."""
     src_dir = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -133,7 +149,8 @@ def _peak_rss_mb(mode: str, n_packets: int = 0) -> float:
         capture_output=True, text=True, env=env, check=True,
     )
     # VmHWM / ru_maxrss are KiB on Linux
-    return int(out.stdout.strip().splitlines()[-1]) / 1024.0
+    rss_kib, departed = out.stdout.split()[-2:]
+    return int(rss_kib) / 1024.0, int(departed)
 
 
 def test_streamed_rss_stays_flat_while_materialized_grows():
@@ -172,6 +189,23 @@ def test_span_drain_rss_matches_scalar_oracle():
     scalar = _peak_rss_mb("streamed-scalar", n)
     print(f"\n[rss MiB] streamed {n}: span={span:.1f}  scalar={scalar:.1f}")
     assert span - scalar <= _SPAN_SLACK_MB
+
+
+def test_latency_samples_cost_int64_not_python_ints():
+    """Latency samples stay int64 from the booking to the summary: at
+    the large size, collecting them adds at most
+    ``_LATENCY_B_PER_SAMPLE`` bytes per departed packet to a streamed
+    run's peak RSS."""
+    n = _SIZES[1]
+    off = _peak_rss_mb("streamed", n)
+    on, departed = _run_child("streamed-latencies", n)
+    per_sample = (on - off) * 1024 * 1024 / departed
+    print(
+        f"\n[rss MiB] streamed {n}: latencies off={off:.1f} on={on:.1f} "
+        f"({departed} departed, {per_sample:.1f} B each)"
+    )
+    assert on - off <= _LATENCY_B_PER_SAMPLE * departed / (1024 * 1024)
+
 
 def test_replay_rss_stays_flat_as_repeat_scales():
     """Pcap replay is O(chunk + flows): repeating the capture 8x must

@@ -61,7 +61,20 @@ class CoreAllocator:
     core), ``busy_occupancy``, and the quietness clock
     ``_last_busy_ns[c]``, which it also writes as :meth:`note_load`
     and :meth:`touch` would.
+
+    ``_quiet_floor`` is a lower bound on the clocks of the online,
+    owned cores, so :meth:`request_core` denies without a scan while
+    ``t_ns - _quiet_floor < idle_threshold_ns``.  A full scan that finds
+    no surplus core raises it to the current minimum (capped at the
+    request instant); every writer here lowers it to what it writes, a
+    core that leaves the set can only raise the minimum, and the
+    in-place writes carry the dispatch instant, which is never earlier
+    than the last request's.
     """
+
+    #: allocators unpickled from checkpoints taken before the floor
+    #: existed start from 0, below every clock
+    _quiet_floor = 0
 
     def __init__(
         self,
@@ -117,6 +130,7 @@ class CoreAllocator:
                     )
             self._owner = list(owners)
         self._last_busy_ns: list[int] = [0] * num_cores
+        self._quiet_floor = 0
         self._offline: set[int] = set()
         self.transfers = 0
         self.internal_reclaims = 0
@@ -167,12 +181,14 @@ class CoreAllocator:
         """Observe the core's queue occupancy at *t_ns* (called by the
         scheduler for the core each packet is routed to)."""
         if occupancy >= self.busy_occupancy:
-            self._last_busy_ns[core_id] = t_ns
+            self.touch(core_id, t_ns)
 
     def touch(self, core_id: int, t_ns: int) -> None:
         """Unconditionally mark the core busy (granted cores are about
         to receive load; their quiet history no longer applies)."""
         self._last_busy_ns[core_id] = t_ns
+        if t_ns < self._quiet_floor:
+            self._quiet_floor = t_ns
 
     def is_surplus(self, core_id: int, t_ns: int) -> bool:
         """True when the core has had no real backlog for the idle
@@ -225,7 +241,7 @@ class CoreAllocator:
         if core_id not in self._offline:
             raise SchedulerError(f"core {core_id} is not offline")
         self._offline.discard(core_id)
-        self._last_busy_ns[core_id] = t_ns
+        self.touch(core_id, t_ns)
         return self._owner[core_id]
 
     # ------------------------------------------------------------------
@@ -246,10 +262,20 @@ class CoreAllocator:
         must bump its ``map_epoch`` along with the map-table updates; an
         internal reclaim changes no routing state and needs no bump.
         """
+        if t_ns - self._quiet_floor < self.idle_threshold_ns:
+            # every online, owned core was busy within the threshold
+            self.denied_requests += 1
+            return None
         # one longest-quiet-first list serves both preferences: the
         # service's own surplus cores are its sub-list, in that order
         everyone = self.surplus_cores(t_ns)
         owner = self._owner
+        if not everyone:
+            floor = t_ns
+            for core, sid in enumerate(owner):
+                if sid >= 0 and core not in self._offline:
+                    floor = min(floor, self._last_busy_ns[core])
+            self._quiet_floor = floor
         for core in everyone:
             if owner[core] == service_id:
                 self.touch(core, t_ns)  # unmark
@@ -280,6 +306,8 @@ class CoreAllocator:
                 f"cannot strip service {donor} of its last core"
             )
         self._owner[core_id] = to_service
+        # a foreign core joins the owned set with its old clock
+        self._quiet_floor = min(self._quiet_floor, self._last_busy_ns[core_id])
         self.transfers += 1
         return CoreTransfer(core_id, donor, to_service)
 

@@ -23,8 +23,9 @@ class SimConfig:
     ``drain_ns`` bounds how long the simulator keeps serving queued
     packets after the last arrival (so in-flight packets depart and are
     scored); 0 cuts the run at the last arrival.
-    ``collect_latencies`` gates per-packet latency recording (a list
-    append per departure — disable for the biggest runs).
+    ``collect_latencies`` gates per-packet latency recording (8 bytes
+    per departure, kept as int64 chunks until the report summarizes
+    them — disable for the biggest runs).
     ``record_departures`` additionally stores the egress sequence
     ``(flow_id, seq, depart_ns)`` on the report, enabling post-hoc
     analyses such as the order-restoration buffer study

@@ -775,7 +775,8 @@ class SimKernel:
         ``drop_core`` the drops' rows and the cores they were offered
         to, each stream in its order within ``li``.  Booking is one
         :meth:`~repro.sim.reorder.ReorderDetector.account_batch` call
-        over ``li``, latencies as one vector subtraction, the departure
+        over ``li``, latencies as one vector subtraction (one int64
+        chunk of :attr:`SimMetrics.latencies_ns`), the departure
         and drop counters, and the departure/drop records when they are
         recorded; the result equals per-event bookkeeping field for
         field.  The scalar loop's :meth:`_settle` and the span commit
@@ -792,7 +793,7 @@ class SimKernel:
             m.departed += int(dep_t.size)
             m.last_depart_ns = int(dep_t[-1])
             if self.config.collect_latencies:
-                m.latencies_ns.extend((dep_t - win.arrival_ns[dep_li]).tolist())
+                m.latencies_ns.append(dep_t - win.arrival_ns[dep_li])
             if record:
                 st.departures.extend(
                     zip(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.util.stats import jain_fairness, summarize
 
 __all__ = ["SimMetrics", "SimReport"]
@@ -50,8 +52,30 @@ class SimMetrics:
         self.generated_per_service = [0] * num_services
         self.dropped_per_service = [0] * num_services
         self.busy_ns_per_core = [0] * num_cores
-        self.latencies_ns: list[int] = []
+        #: latency samples (ns) as int64 chunks in booking order, one
+        #: per booking that departed something; read them with
+        #: :meth:`latency_samples`
+        self.latencies_ns: list[np.ndarray] = []
         self.last_depart_ns = 0
+
+    def __setstate__(self, state) -> None:
+        for name in self.__slots__:
+            setattr(self, name, state[1][name])
+        # v7 checkpoints taken before the samples were chunked carry
+        # them as one list of ints
+        lat = self.latencies_ns
+        if lat and not isinstance(lat[0], np.ndarray):
+            self.latencies_ns = [np.asarray(lat, dtype=np.int64)]
+
+    def latency_samples(self) -> np.ndarray:
+        """Every latency sample so far, in booking order, as one int64
+        array, which becomes the only chunk."""
+        chunks = self.latencies_ns
+        if not chunks:
+            return np.empty(0, dtype=np.int64)
+        if len(chunks) > 1:
+            self.latencies_ns = [np.concatenate(chunks)]
+        return self.latencies_ns[0]
 
     def finalize(
         self,
@@ -75,9 +99,10 @@ class SimMetrics:
         util = [
             b / observed_ns if observed_ns > 0 else 0.0 for b in self.busy_ns_per_core
         ]
+        samples = self.latency_samples()
         lat = (
-            summarize(self.latencies_ns)
-            if self.latencies_ns
+            summarize(samples)
+            if samples.size
             else {k: 0.0 for k in ("mean", "min", "max", "p50", "p95", "p99")}
         )
         return SimReport(

@@ -51,7 +51,7 @@ def merge_shard_results(
     gen_svc = [0] * num_services
     drop_svc = [0] * num_services
     stats: dict[str, float] = {}
-    latencies: list[int] = []
+    latencies: list[np.ndarray] = []
     departures: list[tuple[int, int, int]] = []
     drop_records: list[tuple[int, int, int]] = []
     generated = dropped = departed = out_of_order = 0
@@ -80,7 +80,7 @@ def merge_shard_results(
                 drop_svc[sid] += rep.dropped_per_service[s]
         for key, val in rep.scheduler_stats.items():
             stats[key] = stats.get(key, 0) + val
-        latencies.extend(res.latencies_ns)
+        latencies.append(res.latencies_ns)
         departures.extend(rep.departures)
         drop_records.extend(rep.drop_records)
         generated += rep.generated
@@ -96,9 +96,10 @@ def merge_shard_results(
     util = [
         b / observed_ns if observed_ns > 0 else 0.0 for b in busy
     ]
+    pooled = np.concatenate(latencies)
     lat = (
-        summarize(np.asarray(latencies, dtype=np.int64))
-        if latencies
+        summarize(pooled)
+        if pooled.size
         else {k: 0.0 for k in ("mean", "min", "max", "p50", "p95", "p99")}
     )
     return SimReport(

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultSchedule
 from repro.sim.config import SimConfig
@@ -48,13 +50,14 @@ class ShardResult:
 
     ``busy_ns`` and ``latencies_ns`` are the *raw* metrics (the report
     only carries derived utilisation and a latency summary; exact
-    merging needs the underlying integers).
+    merging needs the underlying integers).  The latency samples cross
+    the process boundary as one int64 array.
     """
 
     shard_id: int
     report: SimReport
     busy_ns: list[int]
-    latencies_ns: list[int]
+    latencies_ns: np.ndarray
     last_arrival_ns: int
     map_epoch_moved: bool = False
     windows: int = 0
@@ -159,7 +162,7 @@ class Shard:
             shard_id=self.spec.shard_id,
             report=report,
             busy_ns=list(metrics.busy_ns_per_core),
-            latencies_ns=list(metrics.latencies_ns),
+            latencies_ns=metrics.latency_samples(),
             last_arrival_ns=self.kernel.state.last_arrival_ns,
             map_epoch_moved=moved,
             windows=self.windows,

@@ -351,7 +351,8 @@ class StreamingSource(PacketSource):
 
     The seed must be reproducible (int / SeedSequence / None) — a live
     ``np.random.Generator`` cannot be rewound, which :meth:`clone`
-    requires.
+    requires.  A clone shares its parent's read-only per-flow hash
+    tables instead of hashing every trace's flows again.
     """
 
     def __init__(
@@ -362,6 +363,7 @@ class StreamingSource(PacketSource):
         seed: int | np.random.SeedSequence | None = 0,
         hash_spec: CRCSpec = CRC16_CCITT,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
+        _flow_hashes: tuple[np.ndarray, ...] | None = None,
     ) -> None:
         super().__init__()
         if not traces:
@@ -397,9 +399,11 @@ class StreamingSource(PacketSource):
             total_flows += trace.num_flows
         self._flow_offsets = offsets
         self.num_flows = total_flows
-        self._flow_hashes = [
-            service_flow_hashes(t, hash_spec) for t in self.traces
-        ]
+        self._flow_hashes = (
+            _flow_hashes
+            if _flow_hashes is not None
+            else tuple(service_flow_hashes(t, hash_spec) for t in self.traces)
+        )
         rngs = spawn_rngs(self.seed, self.num_services)
         self._streams = [
             ArrivalStream(build_rate_model(p), self.duration_ns, rng)
@@ -418,7 +422,7 @@ class StreamingSource(PacketSource):
         return StreamingSource(
             self.traces, self.params, self.duration_ns,
             seed=self.seed, hash_spec=self.hash_spec,
-            chunk_size=self.chunk_size,
+            chunk_size=self.chunk_size, _flow_hashes=self._flow_hashes,
         )
 
     # -- the merge ------------------------------------------------------

@@ -153,12 +153,17 @@ def _per_flow_sequences(flow_id: np.ndarray, num_flows: int) -> np.ndarray:
 def service_flow_hashes(trace: Trace, hash_spec: CRCSpec = CRC16_CCITT) -> np.ndarray:
     """Per-flow hash table of one service's trace (one vectorised CRC
     batch over the flow 5-tuples); chunk assembly then indexes it by
-    local flow id, so streamed and materialized builds hash identically."""
-    return flow_hash_batch(
+    local flow id, so streamed and materialized builds hash identically.
+
+    The table is read-only: source clones share it.
+    """
+    hashes = flow_hash_batch(
         trace.flows_src_ip, trace.flows_dst_ip,
         trace.flows_src_port, trace.flows_dst_port, trace.flows_proto,
         spec=hash_spec,
     ).astype(np.int64)
+    hashes.flags.writeable = False
+    return hashes
 
 
 def build_workload(

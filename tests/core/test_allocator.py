@@ -1,8 +1,12 @@
 """Tests for dynamic core allocation (surplus list, donations)."""
 
-import pytest
+from collections import Counter
 
-from repro.core.allocator import CoreAllocator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.allocator import CoreAllocator, CoreTransfer
 from repro.errors import ConfigError, SchedulerError
 
 IDLE = 1000  # ns
@@ -240,3 +244,129 @@ class TestForceTransfer:
         alloc = make(2, 2)
         with pytest.raises(SchedulerError):
             alloc.force_transfer(alloc.cores_of(1)[0], 0)
+
+
+class ScanOnlyAllocator(CoreAllocator):
+    """Reference: every request scans all cores for surplus ones (the
+    allocator before its quiet floor)."""
+
+    def request_core(self, service_id, t_ns):
+        everyone = self.surplus_cores(t_ns)
+        owner = self._owner
+        for core in everyone:
+            if owner[core] == service_id:
+                self.touch(core, t_ns)
+                self.internal_reclaims += 1
+                return CoreTransfer(core, service_id, service_id)
+        if everyone:
+            online = Counter(
+                s for c, s in enumerate(owner) if c not in self._offline
+            )
+            for core in everyone:
+                donor = owner[core]
+                if online[donor] > 1:
+                    owner[core] = service_id
+                    self.touch(core, t_ns)
+                    self.transfers += 1
+                    return CoreTransfer(core, donor, service_id)
+        self.denied_requests += 1
+        return None
+
+
+_OPS = ("write", "saturate", "saturate", "touch", "request", "request",
+        "offline", "online", "release", "adopt", "force")
+
+
+class TestQuietFloor:
+    def test_denies_without_scanning_while_nothing_can_be_surplus(self):
+        alloc = make()
+        for core in range(alloc.num_cores):
+            alloc.touch(core, IDLE)
+        scans = []
+        full_scan = alloc.surplus_cores
+
+        def counted(t_ns, service_id=None):
+            scans.append(t_ns)
+            return full_scan(t_ns, service_id)
+
+        alloc.surplus_cores = counted
+        assert alloc.request_core(0, IDLE) is None  # scans, raises floor
+        for t in range(IDLE, 2 * IDLE, 100):
+            assert alloc.request_core(0, t) is None
+        assert scans == [IDLE]
+        assert alloc.denied_requests == 11
+        # a quiet core is found again once the threshold has passed
+        assert alloc.request_core(0, 2 * IDLE) is not None
+        assert scans == [IDLE, 2 * IDLE]
+
+    @given(
+        num_cores=st.integers(1, 8),
+        num_services=st.integers(1, 3),
+        foreign=st.lists(st.booleans(), min_size=10, max_size=10),
+        idle=st.integers(0, 200),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(_OPS),
+                st.integers(0, 9),     # core (mod num_cores)
+                st.integers(0, 3),     # service (mod num_services)
+                st.integers(0, 60),    # time step
+                st.integers(0, 400),   # how far back a touch reaches
+            ),
+            min_size=20, max_size=80,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_only_reference(
+        self, num_cores, num_services, foreign, idle, steps
+    ):
+        """Driven through the same clock writes (in place, as LAPS
+        writes, at the current instant; by ``touch`` and ``set_online``
+        at any earlier one), health changes, cross-shard moves and
+        requests, the allocator and the scan-only reference grant the
+        same cores and keep the same owners, clocks and counters."""
+        num_cores = max(num_cores, num_services)
+        owners = [
+            -1 if c >= num_services and foreign[c] else c % num_services
+            for c in range(num_cores)
+        ]
+        fast = CoreAllocator(num_cores, num_services, idle, owners=owners)
+        ref = ScanOnlyAllocator(num_cores, num_services, idle, owners=owners)
+        now = 0
+        for op, core, service, dt, back in steps:
+            now += dt
+            core %= num_cores
+            service %= num_services
+            outs = []
+            for alloc in (fast, ref):
+                try:
+                    if op == "write":
+                        alloc._last_busy_ns[core] = now
+                        out = None
+                    elif op == "saturate":  # LAPS's every-core-overloaded path
+                        for c in alloc.cores_of(service):
+                            alloc._last_busy_ns[c] = now
+                        out = alloc.request_core(service, now)
+                    elif op == "touch":
+                        out = alloc.touch(core, max(0, now - back))
+                    elif op == "request":
+                        out = alloc.request_core(service, now)
+                    elif op == "offline":
+                        out = alloc.set_offline(core)
+                    elif op == "online":
+                        out = alloc.set_online(core, max(0, now - back))
+                    elif op == "release":
+                        out = alloc.release(core)
+                    elif op == "adopt":
+                        out = alloc.adopt(core, service, now)
+                    else:
+                        out = alloc.force_transfer(core, service)
+                except SchedulerError as exc:
+                    out = ("raised", str(exc))
+                outs.append(out)
+            assert outs[0] == outs[1], (op, core, service, now)
+            assert fast._owner == ref._owner
+            assert fast._last_busy_ns == ref._last_busy_ns
+            assert fast._offline == ref._offline
+            for name in ("transfers", "internal_reclaims", "denied_requests",
+                         "cross_shard_grants", "cross_shard_releases"):
+                assert getattr(fast, name) == getattr(ref, name), name

@@ -51,7 +51,7 @@ def assert_books_balance(view) -> None:
     generated = metrics.generated
     departed = metrics.departed
     dropped = metrics.dropped
-    n_latencies = len(metrics.latencies_ns)
+    n_latencies = metrics.latency_samples().size
     queued = sum(len(q) for q in view.queues.items)
     serving = sum(1 for pkt in view.state.core_current_pkt if pkt >= 0)
     assert generated == departed + dropped + queued + serving

@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim.metrics import SimMetrics, SimReport
+from repro.util.stats import summarize
 
 
 def finalize(metrics, **kw):
@@ -59,13 +63,44 @@ class TestFinalize:
 
     def test_latency_summary(self):
         m = SimMetrics(1, 1)
-        m.latencies_ns.extend([100, 200, 300])
+        m.latencies_ns.append(np.array([100, 200, 300], dtype=np.int64))
         rep = finalize(m)
+        assert m.latency_samples().tolist() == [100, 200, 300]
         assert rep.latency_ns["mean"] == pytest.approx(200)
 
     def test_no_latencies_zeroed(self):
         rep = finalize(SimMetrics(1, 1))
         assert rep.latency_ns["p99"] == 0.0
+
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 10**12), max_size=40), st.booleans()
+            ),
+            max_size=12,
+        )
+    )
+    def test_chunked_samples_match_a_list(self, batches):
+        """Booking departure batches as int64 chunks, with the samples
+        read back at random points, gives the samples, count and
+        summary of the per-sample list it replaces."""
+        m = SimMetrics(1, 1)
+        ref: list[int] = []
+        for lat, read in batches:
+            if lat:  # a booking that departed something
+                m.latencies_ns.append(np.array(lat, dtype=np.int64))
+                ref.extend(lat)
+            if read:
+                assert m.latency_samples().tolist() == ref
+        samples = m.latency_samples()
+        assert samples.dtype == np.int64
+        assert samples.tolist() == ref
+        assert len(m.latencies_ns) == (1 if ref else 0)
+        rep = finalize(m)
+        if ref:
+            assert rep.latency_ns == summarize(ref)
+        else:
+            assert set(rep.latency_ns.values()) == {0.0}
 
 
 class TestReportDerived:

@@ -14,6 +14,7 @@ execution):
 * everything that cannot keep those promises is rejected loudly.
 """
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -35,6 +36,7 @@ from repro.schedulers.rss_static import RSSStaticScheduler
 from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
 from repro.sim.sharding import plan_topology, run_sharded
+from repro.sim.sharding.aggregate import merge_shard_results
 from repro.sim.source import StreamingSource
 from repro.sim.system import simulate
 from repro.sim.workload import build_workload
@@ -143,6 +145,33 @@ class TestCoresBitIdentity:
             workload, StaticHashScheduler(), config, shards=2, workers=2,
         )
         assert run.report == baseline_hash
+
+    def test_worker_ships_latencies_as_int64(
+        self, workload, config, baseline_hash, monkeypatch
+    ):
+        """Shard 1 runs in a spawned pool worker: its latency samples
+        come back as one int64 array, and the merge of the arrays still
+        equals the single-process report."""
+        from repro.sim.sharding import coordinator
+
+        seen = []
+
+        def merge(results, topology):
+            seen.extend(results)
+            return merge_shard_results(results, topology)
+
+        monkeypatch.setattr(coordinator, "merge_shard_results", merge)
+        run = run_sharded(
+            workload, StaticHashScheduler(), config, shards=2, workers=2,
+        )
+        assert run.workers == 2
+        assert run.report == baseline_hash
+        assert sorted(r.shard_id for r in seen) == [0, 1]
+        for res in seen:
+            assert isinstance(res.latencies_ns, np.ndarray)
+            assert res.latencies_ns.dtype == np.int64
+            assert res.latencies_ns.size == res.report.departed
+        assert sum(r.latencies_ns.size for r in seen) == baseline_hash.departed
 
     def test_streamed_source_matches_materialized(
         self, parts, config, baseline_hash

@@ -14,13 +14,20 @@ import pytest
 from repro import units
 from repro.core.laps import LAPSConfig, LAPSScheduler
 from repro.errors import ConfigError, SimulationError
-from repro.faults.events import CoreFail, CoreRecover, CoreSlowdown, FaultSchedule
-from repro.faults.injector import FaultInjector
+from repro.faults.events import (
+    CoreFail,
+    CoreRecover,
+    CoreSlowdown,
+    FaultSchedule,
+    TrafficSurge,
+)
+from repro.faults.injector import FaultInjector, TrafficTransformSource
 from repro.net.service import Service, ServiceSet
 from repro.schedulers.hash_static import StaticHashScheduler
 from repro.sim.config import SimConfig
 from repro.sim.generator import HoltWintersParams
 from repro.sim.kernel import Checkpoint, SimKernel
+from repro.sim.sharding.partition import CorePartitionSource
 from repro.sim.source import (
     MaterializedSource,
     StreamingSource,
@@ -133,6 +140,71 @@ class TestStreamingSource:
             got = clone.next_chunk()
             assert got.base == want.base
             np.testing.assert_array_equal(got.arrival_ns, want.arrival_ns)
+
+
+# ----------------------------------------------------------------------
+def one_service(chunk_size=700):
+    return StreamingSource(
+        [preset_trace("caida-1", num_packets=2_000)],
+        [HoltWintersParams(a=3e6)], units.ms(1), seed=3,
+        chunk_size=chunk_size,
+    )
+
+
+def assert_same_stream(got, want):
+    """Chunk for chunk equal: bases, lengths and all six columns."""
+    got, want = list(got.iter_chunks()), list(want.iter_chunks())
+    assert [(c.base, len(c)) for c in got] == [(c.base, len(c)) for c in want]
+    for g, w in zip(got, want):
+        for col in COLUMNS:
+            np.testing.assert_array_equal(getattr(g, col), getattr(w, col))
+
+
+def surge():
+    return FaultSchedule([
+        TrafficSurge(units.us(200), service_id=0, factor=3.0,
+                     duration_ns=units.us(300)),
+    ])
+
+
+class TestCloneSharesFlowHashes:
+    """A clone reuses its parent's per-flow hash tables (no second CRC
+    pass over the traces' flows): the same read-only arrays, and the
+    same stream as a freshly built source."""
+
+    @pytest.mark.parametrize("build", [one_service, streaming])
+    def test_clone_shares_read_only_tables(self, build):
+        src = build()
+        clone = src.clone()
+        assert len(src._flow_hashes) == src.num_services
+        for mine, theirs in zip(clone._flow_hashes, src._flow_hashes):
+            assert mine is theirs
+            assert not mine.flags.writeable
+            with pytest.raises(ValueError):
+                mine[0] = 1
+        assert_same_stream(clone, build())
+
+    @pytest.mark.parametrize("build", [one_service, streaming])
+    def test_core_partition_clone_shares_tables(self, build):
+        def part(inner):
+            return CorePartitionSource(
+                inner, StaticHashScheduler(), (0, 2), num_cores=4,
+                queue_capacity=32,
+            )
+
+        src = build()
+        clone = part(src.clone()).clone()
+        for mine, theirs in zip(clone.inner._flow_hashes, src._flow_hashes):
+            assert mine is theirs
+        assert_same_stream(clone, part(build()))
+
+    @pytest.mark.parametrize("build", [one_service, streaming])
+    def test_traffic_transform_clone_shares_tables(self, build):
+        src = build()
+        clone = TrafficTransformSource(src.clone(), surge()).clone()
+        for mine, theirs in zip(clone.inner._flow_hashes, src._flow_hashes):
+            assert mine is theirs
+        assert_same_stream(clone, TrafficTransformSource(build(), surge()))
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pickle
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -224,6 +225,28 @@ def test_checkpoint_blob_holds_the_live_state():
     assert kernel.run() == ref
 
 
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_checkpoint_round_trips_chunked_latencies(vectorized):
+    """A blob pickles the latency samples as the int64 chunks the
+    bookings appended; they come back as chunks, sample for sample, and
+    the resumed run reports what the uninterrupted run does."""
+    wl = _workload(4, None)
+    kernel = SimKernel(_config(), _kernel_sched("laps"), wl,
+                       vectorized=vectorized)
+    for t in (units.us(100), units.us(200), units.us(300)):
+        kernel.run_until(t)  # each advance settles: one chunk at least
+    ckpt = kernel.checkpoint()
+    live = kernel.state.metrics.latencies_ns
+    saved = pickle.loads(ckpt.blob)[0].metrics.latencies_ns
+    assert len(saved) == len(live) > 1
+    for got, want in zip(saved, live):
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    resumed = SimKernel.resume(ckpt, _config(), wl, vectorized=vectorized)
+    ref = simulate(wl, _kernel_sched("laps"), _config(), vectorized=vectorized)
+    assert resumed.run() == ref
+
+
 def _fixture(version: int) -> dict:
     return pickle.loads(gzip.decompress(
         (FIXTURES / f"checkpoint_v{version}.pkl.gz").read_bytes()
@@ -240,6 +263,9 @@ def test_committed_v7_checkpoint_resumes(vectorized):
     cfg = _config(record_departures=False)
     resumed = SimKernel.resume(ckpt, cfg, _workload(1, None),
                                vectorized=vectorized)
+    # the blob's list of ints comes back as one int64 chunk
+    (chunk,) = resumed.state.metrics.latencies_ns
+    assert chunk.dtype == np.int64
     assert resumed.run() == saved["report"]
 
 

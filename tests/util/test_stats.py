@@ -137,3 +137,21 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @given(
+        st.one_of(
+            st.lists(
+                st.integers(-(2**62), 2**62), min_size=1, max_size=300
+            ).map(lambda v: np.array(v, dtype=np.int64)),
+            st.lists(
+                st.floats(-1e12, 1e12, allow_nan=False), min_size=1, max_size=300
+            ).map(lambda v: np.array(v, dtype=np.float64)),
+        )
+    )
+    def test_percentiles_bit_equal_single_quantile_calls(self, x):
+        """The one-partition p50/p95/p99 equal three single-quantile
+        ``np.percentile`` calls on the same float64 vector, bit for bit."""
+        s = summarize(x)
+        ref = np.asarray(x, dtype=np.float64)
+        for q in (50, 95, 99):
+            assert s[f"p{q}"].hex() == float(np.percentile(ref, q)).hex()
